@@ -765,76 +765,6 @@ fn main() {
         fderived.push(("cores".to_string(), cores.to_string()));
         let step_speedup = speedup_at_4.expect("4-worker sweep entry ran");
 
-        // Batched same-level classification: a shared-storage NoPruning
-        // fleet under no budget stays at level 0 with one common plan,
-        // so every tick fuses all members' forward passes into one GEMM
-        // per layer (occupancy 1). Measured against the identical fleet
-        // with batching off, same worker count.
-        let make_uniform = |batched: bool| -> FleetRuntime {
-            let mut f = FleetRuntime::new(
-                (0..cfg.fleet_members)
-                    .map(|i| {
-                        let ladder = LadderConfig::new(vec![0.0, 0.3, 0.6, 0.9])
-                            .criterion(PruneCriterion::ChannelL2)
-                            .build(&net)
-                            .expect("ladder builds");
-                        let mgr = RuntimeManager::attach(
-                            net.clone(),
-                            ladder,
-                            RuntimeManagerConfig::new(
-                                Policy::NoPruning,
-                                SafetyEnvelope::evenly_spaced(4, 0.6).expect("envelope"),
-                            )
-                            .frame_seed(i as u64),
-                        )
-                        .expect("attach");
-                        (format!("b{i}"), mgr, utility.to_vec())
-                    })
-                    .collect(),
-            )
-            .expect("fleet builds");
-            f.set_workers(cores);
-            f.set_batched(batched);
-            f
-        };
-        let mut batched = make_uniform(true);
-        let mut unbatched = make_uniform(false);
-        let mut bi = 0usize;
-        let mut ui = 0usize;
-        let pair = measure_pair(
-            &format!("fleet_step_batched_{}m", cfg.fleet_members),
-            &format!("fleet_step_unbatched_{}m", cfg.fleet_members),
-            cfg.fleet_batches,
-            cfg.fleet_iters,
-            || {
-                let t = &ticks[bi % ticks.len()];
-                bi += 1;
-                batched.step_all(t, dt, None).expect("batched step")
-            },
-            || {
-                let t = &ticks[ui % ticks.len()];
-                ui += 1;
-                unbatched.step_all(t, dt, None).expect("unbatched step")
-            },
-        );
-        let batched_speedup = pair.ratio_b_over_a;
-        let occupancy = batched.batch_occupancy();
-        println!(
-            "  fleet step batched ({} members, occupancy {occupancy:.2}): {:.0} ns vs unbatched {:.0} ns ({batched_speedup:.2}x)",
-            cfg.fleet_members, pair.a.median_ns, pair.b.median_ns
-        );
-        fstats.push(pair.a);
-        fstats.push(pair.b);
-        fderived.push(("batched_occupancy".to_string(), format!("{occupancy:.3}")));
-        fderived.push((
-            "step_speedup_batched_over_unbatched".to_string(),
-            format!("{batched_speedup:.3}"),
-        ));
-        assert!(
-            (occupancy - 1.0).abs() < 1e-9,
-            "uniform shared fleet must fuse every member (occupancy {occupancy})"
-        );
-
         // Shared vs copied weight storage — deterministic byte counts,
         // asserted in both modes.
         let dense_bytes: usize = net.param_storage().iter().map(|(_, b)| b).sum();

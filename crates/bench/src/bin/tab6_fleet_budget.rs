@@ -18,12 +18,11 @@
 //! Run with: `cargo run --release -p reprune-bench --bin tab6_fleet_budget`
 //!
 //! Flags: `--workers N` caps the live fleet's persistent step pool
-//! (default: machine parallelism; `1` forces serial stepping),
-//! `--batched` turns on fused same-level batched classification, and
+//! (default: machine parallelism; `1` forces serial stepping), and
 //! `--incremental-planner on|off` selects the dirty-set bucket planner
-//! or from-scratch arbitration. All paths are byte-identical to serial
+//! or from-scratch arbitration. Both are byte-identical to serial
 //! from-scratch stepping, so the printed tables — which CI diffs across
-//! worker counts and planner modes — never change with any flag.
+//! worker counts and planner modes — never change with either flag.
 
 use reprune::nn::dataset::{BlobsDataset, SCENE_SIZE};
 use reprune::nn::train::{train_classifier, TrainConfig};
@@ -116,17 +115,14 @@ fn camera_fleet(
     if let Some(w) = opts.workers {
         fleet.set_workers(w);
     }
-    fleet.set_batched(opts.batched);
     fleet.set_incremental_planner(opts.incremental);
     fleet
 }
 
-/// How the live fleet steps: pool cap, batching, and planner mode,
-/// from the CLI.
+/// How the live fleet steps: pool cap and planner mode, from the CLI.
 #[derive(Default)]
 struct StepOptions {
     workers: Option<usize>,
-    batched: bool,
     incremental: bool,
 }
 
@@ -142,7 +138,6 @@ fn parse_args() -> StepOptions {
                     .expect("--workers needs a positive integer");
                 opts.workers = Some(n);
             }
-            "--batched" => opts.batched = true,
             "--incremental-planner" => {
                 opts.incremental = match args.next().as_deref() {
                     Some("on") => true,
@@ -152,7 +147,7 @@ fn parse_args() -> StepOptions {
             }
             other => panic!(
                 "unknown argument: {other} \
-                 (expected --workers N / --batched / --incremental-planner on|off)"
+                 (expected --workers N / --incremental-planner on|off)"
             ),
         }
     }

@@ -341,50 +341,3 @@ impl Scratch {
         &self.ping
     }
 }
-
-/// Reusable buffers for the batched (multi-member) fused inference path.
-///
-/// One lane per batched input carries the same ping-pong/im2col buffers a
-/// serial [`Scratch`] would, so every per-member intermediate is produced
-/// by exactly the code the serial path runs; the fused buffers hold the
-/// packed GEMM rhs (member activations as extra columns) and the fused
-/// product before it is scattered back to the lanes. Like [`Scratch`],
-/// every buffer grows to fit on first use and is then reused, so a
-/// steady-state batched loop allocates nothing.
-#[derive(Debug, Default)]
-pub struct BatchScratch {
-    pub(crate) lanes: Vec<Scratch>,
-    pub(crate) packed: Tensor,
-    pub(crate) fused: Tensor,
-    pub(crate) gemm: GemmScratch,
-    pub(crate) tensor_allocs: usize,
-}
-
-impl BatchScratch {
-    /// Creates an empty arena; lanes and buffers grow to fit on first use.
-    pub fn new() -> Self {
-        BatchScratch::default()
-    }
-
-    /// Total buffer-growth (heap allocation) events so far across every
-    /// lane and the fused packing buffers. Stable after warmup on a fixed
-    /// batch shape.
-    pub fn allocation_events(&self) -> usize {
-        self.tensor_allocs
-            + self.gemm.allocation_events()
-            + self
-                .lanes
-                .iter()
-                .map(Scratch::allocation_events)
-                .sum::<usize>()
-    }
-
-    /// The output of lane `lane` after the most recent batched forward.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` exceeds the most recent batch size.
-    pub fn lane_output(&self, lane: usize) -> &Tensor {
-        self.lanes[lane].output()
-    }
-}

@@ -48,7 +48,7 @@ pub mod serialize;
 pub mod train;
 
 pub use error::NnError;
-pub use exec::{BatchScratch, ExecPlan, PrecisionMode, QuantScratch, Scratch};
+pub use exec::{ExecPlan, PrecisionMode, QuantScratch, Scratch};
 pub use network::{LayerId, Network, PrunableKind, PrunableLayer};
 
 /// Crate-wide result alias.

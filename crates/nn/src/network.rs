@@ -1,9 +1,8 @@
-use crate::exec::{BatchScratch, ExecPlan, Scratch};
-use crate::layer::{Conv2d, Layer, Linear, SgdStep};
+use crate::exec::{ExecPlan, Scratch};
+use crate::layer::{Layer, SgdStep};
 use crate::loss;
 use crate::{NnError, Result};
-use reprune_tensor::linalg::GemmScratch;
-use reprune_tensor::{conv, linalg, Tensor};
+use reprune_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// Identifies a layer inside a [`Network`] by position.
@@ -181,122 +180,6 @@ impl Network {
         Ok((idx, logits.data()[idx]))
     }
 
-    /// Batched fused forward pass for members sharing this network's
-    /// weights: each input gets its own scratch lane, and every GEMM-backed
-    /// layer (`Linear`, `Conv2d`) runs **one** fused tiled GEMM with the
-    /// lanes' activations packed as extra rhs columns. Because every kernel
-    /// accumulates each output element over the inner dimension in the same
-    /// order (the `reprune-tensor` bit-exactness contract), each lane's
-    /// output is **bit-identical** to what [`Network::forward_with`] would
-    /// produce for that input alone. Non-GEMM layers (activations, pooling,
-    /// norm) run per lane through exactly the serial code path.
-    ///
-    /// Each lane's result is left in that lane of the arena
-    /// ([`BatchScratch::lane_output`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors when an input does not fit the architecture
-    /// (the same errors the serial path would produce).
-    pub fn forward_batched(
-        &self,
-        inputs: &[&Tensor],
-        plan: Option<&ExecPlan>,
-        scratch: &mut BatchScratch,
-    ) -> Result<()> {
-        let b = inputs.len();
-        if b == 0 {
-            return Ok(());
-        }
-        if scratch.lanes.len() < b {
-            scratch.tensor_allocs += b - scratch.lanes.len();
-            scratch.lanes.resize_with(b, Scratch::new);
-        }
-        let BatchScratch {
-            lanes,
-            packed,
-            fused,
-            gemm,
-            tensor_allocs,
-        } = scratch;
-        let lanes = &mut lanes[..b];
-        for (lane, x) in lanes.iter_mut().zip(inputs) {
-            lane.tensor_allocs += lane.ping.copy_from(x) as usize;
-        }
-        for (i, layer) in self.layers.iter().enumerate() {
-            let live = plan.and_then(|p| p.live_rows(LayerId(i)));
-            let quantized = plan.is_some_and(|p| p.is_quantized(LayerId(i)));
-            // Quantized layers never fuse: they run the exact serial
-            // int8 path per lane, so batched output stays bit-identical
-            // to serial execution in every precision mode.
-            let fused_done = if b > 1 && !quantized {
-                match layer {
-                    Layer::Linear(l) => {
-                        linear_batched(l, live, lanes, packed, fused, gemm, tensor_allocs)
-                    }
-                    Layer::Conv2d(l) => {
-                        conv_batched(l, live, lanes, packed, fused, gemm, tensor_allocs)?
-                    }
-                    _ => false,
-                }
-            } else {
-                false
-            };
-            if !fused_done {
-                for lane in lanes.iter_mut() {
-                    let Scratch {
-                        ping,
-                        pong,
-                        cols,
-                        gemm,
-                        quant,
-                        tensor_allocs,
-                    } = lane;
-                    let grew = if quantized {
-                        layer.forward_infer_into_q(ping, live, cols, gemm, quant, pong)?
-                    } else {
-                        layer.forward_infer_into(ping, live, cols, gemm, pong)?
-                    };
-                    *tensor_allocs += grew as usize;
-                }
-            }
-            for lane in lanes.iter_mut() {
-                std::mem::swap(&mut lane.ping, &mut lane.pong);
-            }
-        }
-        Ok(())
-    }
-
-    /// [`Network::predict_with`] over a fused batch: runs
-    /// [`Network::forward_batched`] and then applies, per lane, exactly the
-    /// serial softmax/argmax sequence — so each `(class, confidence)` pair
-    /// is bit-identical to a serial `predict_with` on that input. Results
-    /// are appended to `out` in lane order (cleared first).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors; errors on empty outputs.
-    pub fn predict_batched(
-        &self,
-        inputs: &[&Tensor],
-        plan: Option<&ExecPlan>,
-        scratch: &mut BatchScratch,
-        out: &mut Vec<(usize, f32)>,
-    ) -> Result<()> {
-        self.forward_batched(inputs, plan, scratch)?;
-        out.clear();
-        for lane in &mut scratch.lanes[..inputs.len()] {
-            let logits = &mut lane.ping;
-            let m = logits.max()?;
-            logits.map_inplace(|v| (v - m).exp());
-            let z = logits.sum();
-            logits.map_inplace(|v| v / z);
-            let idx = logits.argmax()?;
-            out.push((idx, logits.data()[idx]));
-        }
-        Ok(())
-    }
-
     /// Runs a training-mode forward pass (caches activations).
     ///
     /// # Errors
@@ -441,23 +324,6 @@ impl Network {
         }
     }
 
-    /// Mutable weight slices of every prunable layer at once.
-    ///
-    /// The returned borrows are disjoint, so callers can hand each slice
-    /// to a different worker thread — the reversal log's parallel
-    /// restore path scatters one layer's evicted weights per worker.
-    pub fn prunable_weights_mut(&mut self) -> Vec<(LayerId, &mut [f32])> {
-        self.layers
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, layer)| match layer {
-                Layer::Linear(l) => Some((LayerId(i), l.weight.value.data_mut())),
-                Layer::Conv2d(l) => Some((LayerId(i), l.weight.value.data_mut())),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// One `(storage_id, bytes)` entry per parameter tensor.
     ///
     /// Cloned networks share tensor storage copy-on-write, so a fleet of
@@ -509,131 +375,10 @@ impl Network {
     }
 }
 
-/// One fused `(m × k)·(k × B)` GEMM over all lanes' activation vectors.
-/// Returns `false` (caller falls back to the per-lane serial path) when
-/// any lane's activation does not match the layer's input shape — the
-/// fallback then reproduces the exact serial error or result.
-fn linear_batched(
-    l: &Linear,
-    live: Option<&[u32]>,
-    lanes: &mut [Scratch],
-    packed: &mut Tensor,
-    fused: &mut Tensor,
-    gemm: &mut GemmScratch,
-    tensor_allocs: &mut usize,
-) -> bool {
-    let b = lanes.len();
-    let m = l.weight.value.shape().dim(0);
-    let k = l.weight.value.shape().dim(1);
-    if lanes.iter().any(|lane| lane.ping.dims() != [k]) {
-        return false;
-    }
-    *tensor_allocs += packed.reuse_as(&[k, b]) as usize;
-    {
-        let views: Vec<&[f32]> = lanes.iter().map(|lane| lane.ping.data()).collect();
-        linalg::pack_columns(&views, k, packed.data_mut());
-    }
-    *tensor_allocs += fused.reuse_as(&[m, b]) as usize;
-    linalg::matmul_slices_into(
-        l.weight.value.data(),
-        m,
-        k,
-        packed.data(),
-        b,
-        live,
-        fused.data_mut(),
-        gemm,
-    );
-    let fd = fused.data();
-    for (lane_idx, lane) in lanes.iter_mut().enumerate() {
-        lane.tensor_allocs += lane.pong.reuse_as(&[m]) as usize;
-        let od = lane.pong.data_mut();
-        for (r, o) in od.iter_mut().enumerate() {
-            *o = fd[r * b + lane_idx];
-        }
-        // Bias added to every row, pruned ones included — exactly the
-        // serial `forward_infer_into` order.
-        for (o, &bv) in od.iter_mut().zip(l.bias.value.data()) {
-            *o += bv;
-        }
-    }
-    true
-}
-
-/// One fused conv GEMM over all lanes: per-lane im2col (the serial code),
-/// the patch matrices concatenated as column blocks, a single
-/// `(oc × k)·(k × B·n)` product, and per-lane scatter + bias. Returns
-/// `Ok(false)` (serial fallback) when shapes do not line up.
-fn conv_batched(
-    l: &Conv2d,
-    live: Option<&[u32]>,
-    lanes: &mut [Scratch],
-    packed: &mut Tensor,
-    fused: &mut Tensor,
-    gemm: &mut GemmScratch,
-    tensor_allocs: &mut usize,
-) -> Result<bool> {
-    let b = lanes.len();
-    let spec = l.spec();
-    let dims0 = lanes[0].ping.dims().to_vec();
-    if dims0.len() != 3 || lanes.iter().any(|lane| lane.ping.dims() != dims0.as_slice()) {
-        return Ok(false);
-    }
-    let (c, h, w) = (dims0[0], dims0[1], dims0[2]);
-    let oc = l.weight.value.shape().dim(0);
-    if l.weight.value.dims() != [oc, c, spec.kernel_h, spec.kernel_w]
-        || l.bias.value.dims() != [oc]
-    {
-        return Ok(false);
-    }
-    let Ok((oh, ow)) = spec.output_hw(h, w) else {
-        return Ok(false);
-    };
-    let n = oh * ow;
-    let k = c * spec.kernel_h * spec.kernel_w;
-    for lane in lanes.iter_mut() {
-        lane.tensor_allocs += conv::im2col_into(&lane.ping, spec, &mut lane.cols)? as usize;
-    }
-    *tensor_allocs += packed.reuse_as(&[k, b * n]) as usize;
-    {
-        let views: Vec<&[f32]> = lanes.iter().map(|lane| lane.cols.data()).collect();
-        linalg::pack_column_blocks(&views, k, n, packed.data_mut());
-    }
-    *tensor_allocs += fused.reuse_as(&[oc, b * n]) as usize;
-    linalg::matmul_slices_into(
-        l.weight.value.data(),
-        oc,
-        k,
-        packed.data(),
-        b * n,
-        live,
-        fused.data_mut(),
-        gemm,
-    );
-    let bn = b * n;
-    let fd = fused.data();
-    for (lane_idx, lane) in lanes.iter_mut().enumerate() {
-        lane.tensor_allocs += lane.pong.reuse_as(&[oc, oh, ow]) as usize;
-        let od = lane.pong.data_mut();
-        for ch in 0..oc {
-            let src = &fd[ch * bn + lane_idx * n..ch * bn + lane_idx * n + n];
-            od[ch * n..(ch + 1) * n].copy_from_slice(src);
-        }
-        // Bias added to every channel, pruned ones included — exactly the
-        // serial `conv2d_into` order.
-        for (ch, &bv) in l.bias.value.data().iter().enumerate() {
-            for v in &mut od[ch * n..(ch + 1) * n] {
-                *v += bv;
-            }
-        }
-    }
-    Ok(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{Flatten, MaxPool2d, Relu};
+    use crate::layer::{Conv2d, Flatten, Linear, MaxPool2d, Relu};
     use reprune_tensor::rng::Prng;
 
     fn tiny_net(seed: u64) -> Network {

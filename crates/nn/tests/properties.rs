@@ -3,28 +3,9 @@
 use proptest::prelude::*;
 use reprune_nn::dataset::{BlobsDataset, SceneContext, SceneDataset};
 use reprune_nn::layer::SgdStep;
-use reprune_nn::{loss, models, serialize, BatchScratch, ExecPlan, Network, Scratch};
+use reprune_nn::{loss, models, serialize, Scratch};
 use reprune_tensor::rng::Prng;
 use reprune_tensor::Tensor;
-
-/// A random packed plan over the CNN's prunable layers: each layer is
-/// left dense, or keeps a random non-empty strict subset of its units.
-fn random_plan(net: &Network, rng: &mut Prng) -> ExecPlan {
-    let mut plan = ExecPlan::new();
-    for meta in net.prunable_layers() {
-        if rng.next_below(2) == 0 {
-            continue;
-        }
-        let keep: Vec<u32> = (0..meta.units as u32)
-            .filter(|_| rng.next_below(4) > 0)
-            .collect();
-        if keep.is_empty() || keep.len() == meta.units {
-            continue;
-        }
-        plan.set_live_rows(meta.id, keep);
-    }
-    plan
-}
 
 fn logits_strategy() -> impl Strategy<Value = Tensor> {
     prop::collection::vec(-20.0f32..20.0, 2..10).prop_map(|v| {
@@ -152,75 +133,6 @@ proptest! {
         prop_assert_eq!(pred_alloc, pred_arena);
         prop_assert_eq!(conf_alloc.to_bits(), conf_arena.to_bits());
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    // The fused batched forward pass packs member inputs as extra GEMM
-    // columns; every kernel path accumulates each output element over the
-    // reduction dimension in order, independent of the column count, so
-    // batching must agree with per-member serial inference bit-for-bit —
-    // across random sparse plans and through NaN-poisoned frames alike.
-    #[test]
-    fn batched_predict_matches_serial_bitwise(seed in any::<u64>(), b in 2usize..6) {
-        let net = models::default_perception_cnn(seed).unwrap();
-        let mut rng = Prng::new(seed ^ 0xBA7C);
-        let s = reprune_nn::dataset::SCENE_SIZE;
-        let plan = random_plan(&net, &mut rng);
-        let plan = if rng.next_below(4) == 0 { None } else { Some(&plan) };
-        let mut inputs: Vec<Tensor> = (0..b)
-            .map(|_| Tensor::rand_uniform(&[1, s, s], -1.0, 1.0, &mut rng))
-            .collect();
-        // One lane gets a NaN-poisoned frame: propagation through the
-        // fused GEMM must match the serial path exactly, and must not
-        // leak into the other lanes' columns.
-        let poisoned = rng.next_below(b);
-        let idx = rng.next_below(inputs[poisoned].len());
-        inputs[poisoned].data_mut()[idx] = f32::NAN;
-
-        let mut scratch = Scratch::new();
-        let mut serial = Vec::with_capacity(b);
-        for x in &inputs {
-            serial.push(net.predict_with(x, plan, &mut scratch).unwrap());
-        }
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let mut batch = BatchScratch::new();
-        let mut fused = Vec::new();
-        net.predict_batched(&refs, plan, &mut batch, &mut fused).unwrap();
-        prop_assert_eq!(fused.len(), serial.len());
-        for (lane, (&(ps, cs), &(pf, cf))) in serial.iter().zip(&fused).enumerate() {
-            prop_assert_eq!(ps, pf, "lane {} prediction", lane);
-            prop_assert_eq!(cs.to_bits(), cf.to_bits(), "lane {} confidence bits", lane);
-        }
-    }
-}
-
-/// The batched arena behaves like the serial one: after the first pass
-/// has grown every lane buffer, steady-state batched inference performs
-/// zero further heap allocations.
-#[test]
-fn steady_state_batched_inference_does_not_allocate() {
-    let net = models::default_perception_cnn(9).unwrap();
-    let mut rng = Prng::new(2);
-    let s = reprune_nn::dataset::SCENE_SIZE;
-    let inputs: Vec<Tensor> = (0..4)
-        .map(|_| Tensor::rand_uniform(&[1, s, s], -1.0, 1.0, &mut rng))
-        .collect();
-    let refs: Vec<&Tensor> = inputs.iter().collect();
-    let mut batch = BatchScratch::new();
-    let mut out = Vec::new();
-    net.predict_batched(&refs, None, &mut batch, &mut out).unwrap();
-    let warm = batch.allocation_events();
-    assert!(warm > 0, "first pass must have grown the arena");
-    for _ in 0..5 {
-        net.predict_batched(&refs, None, &mut batch, &mut out).unwrap();
-    }
-    assert_eq!(
-        batch.allocation_events(),
-        warm,
-        "steady-state batched inference must not allocate"
-    );
 }
 
 /// Same equivalence on a *trained* CNN (single slow case rather than a

@@ -23,11 +23,9 @@
 //! inject; only the digest *values* differ, and those are never
 //! compared across algorithms.
 //!
-//! Segments sealed under either algorithm carry a [`ChecksumVersion`]
-//! tag and verify with the algorithm that sealed them, so a log written
-//! before an upgrade keeps validating afterwards.
-
-use serde::{Deserialize, Serialize};
+//! Segment seals and `weights_checksum` use V2; V1 survives as the
+//! scalar oracle (`weights_checksum_fnv`) that tests and the checksum
+//! benchmarks compare against.
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -50,19 +48,6 @@ pub fn fnv1a_u32(mut h: u64, x: u32) -> u64 {
         h = fnv1a_byte(h, b);
     }
     h
-}
-
-/// Which algorithm sealed a checksum.
-///
-/// Stored per log segment so a pruner can verify segments sealed before
-/// an algorithm upgrade: the digest is always recomputed with the
-/// version that produced it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ChecksumVersion {
-    /// Byte-at-a-time scalar FNV-1a (the bit-exactness oracle).
-    V1Fnv,
-    /// Word-wide blocked hash with [`LANES`] folded lanes.
-    V2Blocked,
 }
 
 /// Streaming V2 blocked hasher.

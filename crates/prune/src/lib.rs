@@ -66,8 +66,8 @@ pub use criterion::PruneCriterion;
 pub use error::PruneError;
 pub use ladder::{FineTuneSpec, LadderConfig, SparsityLadder};
 pub use mask::{LayerMask, MaskSet};
-pub use packed::{exec_plan, ladder_plans, plan_signature};
-pub use checksum::{BlockedHasher, ChecksumVersion};
+pub use packed::{exec_plan, ladder_plans};
+pub use checksum::BlockedHasher;
 pub use pruner::{
     weights_checksum, weights_checksum_fnv, DeltaKind, IntegrityStats, LogPrecision, PrunerCursor,
     ReversiblePruner, Transition,

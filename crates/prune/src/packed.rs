@@ -78,46 +78,6 @@ pub fn ladder_plans(net: &Network, ladder: &SparsityLadder) -> Result<Vec<ExecPl
         .collect()
 }
 
-/// Order-sensitive 64-bit fingerprint of a packed execution plan (FNV-1a
-/// over every `(layer, live-row)` entry plus per-layer lengths).
-///
-/// The fleet's batched scheduler buckets members by
-/// `(ladder level, plan signature)` each tick before fusing their forward
-/// passes, so same-configuration members are discovered in O(members)
-/// instead of deep-comparing every plan pair. Signatures are a *filter*,
-/// not a proof: the scheduler still verifies candidate plans with `==`
-/// before fusing, so a (vanishingly unlikely) collision degrades to the
-/// serial path rather than to wrong results.
-pub fn plan_signature(plan: &ExecPlan) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    for (layer, rows) in plan.iter() {
-        mix(layer.0 as u64);
-        mix(rows.len() as u64);
-        for &r in rows {
-            mix(u64::from(r));
-        }
-    }
-    // Precision is mixed only when reduced, so every f32 plan keeps the
-    // exact signature it had before the precision axis existed.
-    if plan.precision() != PrecisionMode::F32 {
-        mix(u64::MAX); // domain separator: no (layer, len) pair emits this
-        mix(plan.precision() as u64);
-        mix(plan.quant_layers().len() as u64);
-        for layer in plan.quant_layers() {
-            mix(layer.0 as u64);
-        }
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,39 +127,6 @@ mod tests {
                 assert!(live.len() < meta.units);
             }
         }
-    }
-
-    #[test]
-    fn plan_signatures_match_iff_plans_match() {
-        let net = cnn();
-        let ladder = LadderConfig::new(vec![0.0, 0.3, 0.6, 0.9])
-            .criterion(PruneCriterion::ChannelL2)
-            .build(&net)
-            .unwrap();
-        let plans = ladder_plans(&net, &ladder).unwrap();
-        // Independently rebuilt plans of the same level agree.
-        let again = ladder_plans(&net, &ladder).unwrap();
-        for (a, b) in plans.iter().zip(&again) {
-            assert_eq!(plan_signature(a), plan_signature(b));
-        }
-        // Distinct levels produce distinct signatures here (levels differ
-        // in their live sets, and the hash is order-sensitive).
-        for i in 0..plans.len() {
-            for j in i + 1..plans.len() {
-                if plans[i] != plans[j] {
-                    assert_ne!(
-                        plan_signature(&plans[i]),
-                        plan_signature(&plans[j]),
-                        "levels {i} and {j}"
-                    );
-                }
-            }
-        }
-        // An empty (dense) plan hashes to the FNV offset basis, stably.
-        assert_eq!(
-            plan_signature(&ExecPlan::new()),
-            plan_signature(&ExecPlan::new())
-        );
     }
 
     #[test]

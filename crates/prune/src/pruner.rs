@@ -35,14 +35,10 @@
 //!   ([`ReversiblePruner::allocation_events`] proves it);
 //! * the per-level index sets are **precomputed at attach time** from the
 //!   nested masks, so a push never re-derives set differences;
-//! * checksums use the word-wide blocked hash of [`crate::checksum`]
-//!   (sealed segments carry a [`ChecksumVersion`], so logs written under
-//!   the scalar-FNV V1 scheme keep verifying);
-//! * large multi-layer segments can be applied by **scoped worker
-//!   threads**, one per layer span, with a deterministic single-thread
-//!   fallback that writes byte-identical results.
+//! * seals and verification use the word-wide blocked hash of
+//!   [`crate::checksum`].
 
-use crate::checksum::{fnv1a_u32, BlockedHasher, ChecksumVersion, FNV_OFFSET};
+use crate::checksum::{fnv1a_u32, BlockedHasher, FNV_OFFSET};
 use crate::f16::{f16_bits_to_f32, f32_to_f16_bits, round_through_f16};
 use crate::ladder::SparsityLadder;
 use crate::{PruneError, Result};
@@ -253,6 +249,11 @@ const PRECISION_CHECKSUM_DOMAIN: u32 = 0x5052_4543; // "PREC"
 /// identical contents.
 const FINE_TUNE_CHECKSUM_DOMAIN: u32 = 0x5455_4E45; // "TUNE"
 
+/// Seal-algorithm word of every spill payload; 1 names the blocked
+/// hash. It is the only value written, and the decoder rejects any
+/// other value.
+const SEAL_VERSION: u32 = 1;
+
 /// All weights evicted when stepping from ladder level `k` to `k+1`, or
 /// the full-precision originals captured when entering an int8 rung
 /// (see [`DeltaKind`]).
@@ -277,12 +278,10 @@ pub struct LevelDelta {
     /// was sealed. Lets a scrub pass or a restore detect that stored
     /// deltas were corrupted in place.
     pub checksum: u64,
-    version: ChecksumVersion,
 }
 
 impl LevelDelta {
-    /// Builds a segment from per-layer deltas and seals it with the
-    /// current-generation ([`ChecksumVersion::V2Blocked`]) checksum.
+    /// Builds a segment from per-layer deltas and seals it.
     pub fn new(to_level: usize, layers: Vec<LayerDelta>) -> Self {
         let precision = layers
             .iter()
@@ -300,7 +299,6 @@ impl LevelDelta {
             indices: Vec::with_capacity(total),
             values: DeltaValues::with_capacity(precision, total),
             checksum: 0,
-            version: ChecksumVersion::V2Blocked,
         };
         for l in &layers {
             let start = d.indices.len();
@@ -321,7 +319,7 @@ impl LevelDelta {
                 end: d.indices.len(),
             });
         }
-        d.seal(ChecksumVersion::V2Blocked);
+        d.seal();
         d
     }
 
@@ -334,7 +332,6 @@ impl LevelDelta {
             indices: Vec::new(),
             values: DeltaValues::with_capacity(precision, 0),
             checksum: 0,
-            version: ChecksumVersion::V2Blocked,
         }
     }
 
@@ -368,7 +365,6 @@ impl LevelDelta {
             (dst, s) => *dst = s.clone(),
         }
         self.checksum = src.checksum;
-        self.version = src.version;
     }
 
     /// Buffer capacities, used to detect (re)allocation in the pools.
@@ -402,71 +398,30 @@ impl LevelDelta {
         self.indices.is_empty()
     }
 
-    /// The algorithm that sealed this segment's checksum.
-    pub fn version(&self) -> ChecksumVersion {
-        self.version
+    /// Seals the segment with the checksum of its current contents.
+    fn seal(&mut self) {
+        self.checksum = self.computed_checksum();
     }
 
-    /// Seals the segment under `version`.
-    fn seal(&mut self, version: ChecksumVersion) {
-        self.version = version;
-        self.checksum = self.compute_with(version);
-    }
-
-    fn compute_with(&self, version: ChecksumVersion) -> u64 {
-        match version {
-            ChecksumVersion::V1Fnv => {
-                let mut h = fnv1a_u32(FNV_OFFSET, self.to_level as u32);
-                match self.kind {
-                    DeltaKind::Evict => {}
-                    DeltaKind::Precision => h = fnv1a_u32(h, PRECISION_CHECKSUM_DOMAIN),
-                    DeltaKind::FineTune => h = fnv1a_u32(h, FINE_TUNE_CHECKSUM_DOMAIN),
-                }
-                for span in &self.spans {
-                    h = fnv1a_u32(h, span.layer.0 as u32);
-                    for &i in &self.indices[span.start..span.end] {
-                        h = fnv1a_u32(h, i);
-                    }
-                    match self.value_slice(span.start, span.end) {
-                        ValueSlice::Exact(vs) => {
-                            for v in vs {
-                                h = fnv1a_u32(h, v.to_bits());
-                            }
-                        }
-                        ValueSlice::Half(vs) => {
-                            for &v in vs {
-                                h = fnv1a_u32(h, v as u32);
-                            }
-                        }
-                    }
-                }
-                h
-            }
-            ChecksumVersion::V2Blocked => {
-                let mut h = BlockedHasher::new();
-                h.write_u32(self.to_level as u32);
-                match self.kind {
-                    DeltaKind::Evict => {}
-                    DeltaKind::Precision => h.write_u32(PRECISION_CHECKSUM_DOMAIN),
-                    DeltaKind::FineTune => h.write_u32(FINE_TUNE_CHECKSUM_DOMAIN),
-                }
-                for span in &self.spans {
-                    h.write_u32(span.layer.0 as u32);
-                    h.write_u32_slice(&self.indices[span.start..span.end]);
-                    match self.value_slice(span.start, span.end) {
-                        ValueSlice::Exact(vs) => h.write_f32_slice(vs),
-                        ValueSlice::Half(vs) => h.write_u16_slice(vs),
-                    }
-                }
-                h.finish()
+    /// Blocked-hash checksum of the segment's *current* contents, with
+    /// the segment kind's domain word mixed in after `to_level`.
+    pub fn computed_checksum(&self) -> u64 {
+        let mut h = BlockedHasher::new();
+        h.write_u32(self.to_level as u32);
+        match self.kind {
+            DeltaKind::Evict => {}
+            DeltaKind::Precision => h.write_u32(PRECISION_CHECKSUM_DOMAIN),
+            DeltaKind::FineTune => h.write_u32(FINE_TUNE_CHECKSUM_DOMAIN),
+        }
+        for span in &self.spans {
+            h.write_u32(span.layer.0 as u32);
+            h.write_u32_slice(&self.indices[span.start..span.end]);
+            match self.value_slice(span.start, span.end) {
+                ValueSlice::Exact(vs) => h.write_f32_slice(vs),
+                ValueSlice::Half(vs) => h.write_u16_slice(vs),
             }
         }
-    }
-
-    /// Checksum of the segment's *current* contents, computed with the
-    /// algorithm that sealed it.
-    pub fn computed_checksum(&self) -> u64 {
-        self.compute_with(self.version)
+        h.finish()
     }
 
     /// Whether the current contents still match the sealed checksum.
@@ -500,10 +455,7 @@ impl LevelDelta {
             DeltaValues::Exact(_) => 0,
             DeltaValues::Half(_) => 1,
         });
-        w.put_u32(match self.version {
-            ChecksumVersion::V1Fnv => 0,
-            ChecksumVersion::V2Blocked => 1,
-        });
+        w.put_u32(SEAL_VERSION);
         w.put_u64(self.checksum);
         w.put_u32(self.spans.len() as u32);
         for span in &self.spans {
@@ -557,13 +509,17 @@ impl LevelDelta {
             1 => LogPrecision::Half,
             other => return Err(err(&format!("unknown precision {other}"))),
         };
-        let version = match r.u32().ok_or_else(|| err("missing version"))? {
-            0 => ChecksumVersion::V1Fnv,
-            1 => ChecksumVersion::V2Blocked,
+        match r.u32().ok_or_else(|| err("missing version"))? {
+            SEAL_VERSION => {}
             other => return Err(err(&format!("unknown checksum version {other}"))),
-        };
+        }
         let checksum = r.u64().ok_or_else(|| err("missing checksum"))?;
         let span_count = r.u32().ok_or_else(|| err("missing span count"))? as usize;
+        // Counts are bounded by the bytes left before anything is
+        // allocated, so a hostile count word cannot request gigabytes.
+        if span_count > r.remaining() / 12 {
+            return Err(err("span count exceeds payload"));
+        }
         let mut spans = Vec::with_capacity(span_count);
         for _ in 0..span_count {
             let layer = LayerId(r.u32().ok_or_else(|| err("truncated span"))? as usize);
@@ -575,6 +531,9 @@ impl LevelDelta {
             spans.push(LayerSpan { layer, start, end });
         }
         let count = r.u32().ok_or_else(|| err("missing entry count"))? as usize;
+        if count > r.remaining() / 8 {
+            return Err(err("entry count exceeds payload"));
+        }
         if spans.last().map_or(0, |s| s.end) > count {
             return Err(err("span table exceeds entry count"));
         }
@@ -600,7 +559,6 @@ impl LevelDelta {
             indices,
             values,
             checksum,
-            version,
         })
     }
 }
@@ -767,11 +725,6 @@ fn quantize_plan_layer(data: &mut [f32], lp: &QuantLayerPlan, mut capture: impl 
     }
 }
 
-/// Segments smaller than this apply serially even when worker threads
-/// are available: below it, thread spawn overhead exceeds the scatter
-/// cost. Tunable via [`ReversiblePruner::set_parallel_apply_threshold`].
-const PARALLEL_APPLY_MIN_ENTRIES: usize = 32 * 1024;
-
 /// A reversible runtime pruner attached to one network.
 ///
 /// See the [crate-level example](crate) for typical use. The pruner
@@ -798,8 +751,6 @@ pub struct ReversiblePruner {
     ft_plans: Vec<Option<FineTunePlan>>,
     pool: Vec<LevelDelta>,
     shadow_pool: Vec<LevelDelta>,
-    seal_version: ChecksumVersion,
-    parallel_threshold: usize,
     alloc_events: usize,
 }
 
@@ -842,8 +793,6 @@ impl ReversiblePruner {
             ft_plans: Vec::new(),
             pool: Vec::new(),
             shadow_pool: Vec::new(),
-            seal_version: ChecksumVersion::V2Blocked,
-            parallel_threshold: PARALLEL_APPLY_MIN_ENTRIES,
             alloc_events: 0,
         })
     }
@@ -907,8 +856,6 @@ impl ReversiblePruner {
             ft_plans: Vec::new(),
             pool: Vec::new(),
             shadow_pool: Vec::new(),
-            seal_version: ChecksumVersion::V2Blocked,
-            parallel_threshold: PARALLEL_APPLY_MIN_ENTRIES,
             alloc_events: 0,
         })
     }
@@ -1157,33 +1104,6 @@ impl ReversiblePruner {
         self.alloc_events
     }
 
-    /// The checksum algorithm used to seal *new* segments.
-    pub fn seal_version(&self) -> ChecksumVersion {
-        self.seal_version
-    }
-
-    /// Switches the algorithm used to seal new segments. Segments
-    /// already on the log keep verifying under the version that sealed
-    /// them, so a mid-flight upgrade (or downgrade, for oracle runs)
-    /// never invalidates the existing log.
-    pub fn set_seal_version(&mut self, version: ChecksumVersion) {
-        self.seal_version = version;
-    }
-
-    /// Minimum segment entries before a pop applies layer spans on
-    /// worker threads.
-    pub fn parallel_apply_threshold(&self) -> usize {
-        self.parallel_threshold
-    }
-
-    /// Overrides the parallel-apply threshold. `0` forces the scoped
-    /// worker path for every multi-layer segment; `usize::MAX` forces
-    /// the serial path. Both produce byte-identical weights — the spans
-    /// write disjoint index sets.
-    pub fn set_parallel_apply_threshold(&mut self, entries: usize) {
-        self.parallel_threshold = entries;
-    }
-
     /// Moves the network to ladder level `target`, pruning or restoring
     /// as needed, and returns what the transition touched.
     ///
@@ -1281,7 +1201,7 @@ impl ReversiblePruner {
                 end: seg.indices.len(),
             });
         }
-        seg.seal(self.seal_version);
+        seg.seal();
         if seg.capacity_sig() != cap {
             self.alloc_events += 1;
         }
@@ -1363,7 +1283,7 @@ impl ReversiblePruner {
             }
         }
         count += delta.len();
-        Self::apply_segment(&delta, net, self.parallel_threshold)?;
+        Self::apply_segment(&delta, net)?;
         self.current -= 1;
         // The pop mirrors the push order, so LIFO reuse hands each
         // future push a buffer already sized for its level.
@@ -1400,7 +1320,7 @@ impl ReversiblePruner {
                 end: seg.indices.len(),
             });
         }
-        seg.seal(self.seal_version);
+        seg.seal();
         if seg.capacity_sig() != cap {
             self.alloc_events += 1;
         }
@@ -1452,7 +1372,7 @@ impl ReversiblePruner {
                 end: seg.indices.len(),
             });
         }
-        seg.seal(self.seal_version);
+        seg.seal();
         if seg.capacity_sig() != cap {
             self.alloc_events += 1;
         }
@@ -1506,49 +1426,21 @@ impl ReversiblePruner {
             }
         }
         let count = delta.len();
-        Self::apply_segment(&delta, net, self.parallel_threshold)?;
+        Self::apply_segment(&delta, net)?;
         self.pool.push(delta);
         Ok(count)
     }
 
-    /// Writes a popped segment's values back into the network —
-    /// serially, or with one scoped worker per layer span when the
-    /// segment is large enough to amortize thread spawns. The spans
-    /// target disjoint layers, so both paths are byte-identical.
-    fn apply_segment(delta: &LevelDelta, net: &mut Network, threshold: usize) -> Result<()> {
-        let workers = std::thread::available_parallelism().map_or(1, usize::from);
-        if delta.spans.len() > 1 && workers > 1 && delta.len() >= threshold {
-            let mut slices = net.prunable_weights_mut();
-            let mut jobs: Vec<(&LayerSpan, &mut [f32])> = Vec::with_capacity(delta.spans.len());
-            for span in &delta.spans {
-                let pos = slices
-                    .iter()
-                    .position(|(id, _)| *id == span.layer)
-                    .ok_or_else(|| {
-                        PruneError::mask_mismatch(format!(
-                            "layer {} missing from network during restore",
-                            span.layer
-                        ))
-                    })?;
-                let (_, data) = slices.swap_remove(pos);
-                jobs.push((span, data));
-            }
-            std::thread::scope(|scope| {
-                for (span, data) in jobs {
-                    let indices = &delta.indices[span.start..span.end];
-                    let values = delta.value_slice(span.start, span.end);
-                    scope.spawn(move || apply_span(indices, values, data));
-                }
-            });
-        } else {
-            for span in &delta.spans {
-                let data = net.weight_mut(span.layer)?.data_mut();
-                apply_span(
-                    &delta.indices[span.start..span.end],
-                    delta.value_slice(span.start, span.end),
-                    data,
-                );
-            }
+    /// Writes a popped segment's values back into the network, one
+    /// layer span at a time.
+    fn apply_segment(delta: &LevelDelta, net: &mut Network) -> Result<()> {
+        for span in &delta.spans {
+            let data = net.weight_mut(span.layer)?.data_mut();
+            apply_span(
+                &delta.indices[span.start..span.end],
+                delta.value_slice(span.start, span.end),
+                data,
+            );
         }
         Ok(())
     }
@@ -2499,7 +2391,7 @@ mod tests {
     }
 
     // -------------------------------------------------------------
-    // Restore fast path: pooling, versioned checksums, parallel apply
+    // Restore fast path: pooling and checksums
     // -------------------------------------------------------------
 
     #[test]
@@ -2523,55 +2415,6 @@ mod tests {
             "steady-state prune/restore cycles must not allocate"
         );
         p.verify_restored(&net).unwrap();
-    }
-
-    #[test]
-    fn v1_sealed_segments_verify_under_v2_pruner() {
-        let (mut net, mut p) = setup(vec![0.0, 0.3, 0.6, 0.9]);
-        // Seal the first two segments under the legacy scalar FNV.
-        p.set_seal_version(ChecksumVersion::V1Fnv);
-        p.set_level(&mut net, 2).unwrap();
-        // Upgrade mid-flight: new segments seal blocked, old ones stay V1.
-        p.set_seal_version(ChecksumVersion::V2Blocked);
-        p.set_level(&mut net, 3).unwrap();
-        assert_eq!(p.scrub().unwrap(), 3, "mixed-version log scrubs clean");
-        p.set_level(&mut net, 0).unwrap();
-        p.verify_restored(&net).unwrap();
-    }
-
-    #[test]
-    fn v1_sealed_segment_still_detects_corruption() {
-        let (mut net, mut p) = setup(vec![0.0, 0.6]);
-        p.set_seal_version(ChecksumVersion::V1Fnv);
-        p.set_level(&mut net, 1).unwrap();
-        let mut rng = Prng::new(29);
-        assert!(p.inject_log_bitflip(&mut rng).is_some());
-        assert!(matches!(
-            p.set_level(&mut net, 0),
-            Err(PruneError::LogCorruption { .. })
-        ));
-    }
-
-    #[test]
-    fn parallel_and_serial_apply_are_byte_identical() {
-        let base = models::default_perception_cnn(61).unwrap();
-        let ladder = LadderConfig::new(vec![0.0, 0.3, 0.6, 0.9])
-            .criterion(PruneCriterion::ChannelL2)
-            .build(&base)
-            .unwrap();
-        let mut net_s = base.clone();
-        let mut ps = ReversiblePruner::attach(&net_s, ladder.clone()).unwrap();
-        ps.set_parallel_apply_threshold(usize::MAX); // force serial
-        let mut net_p = base.clone();
-        let mut pp = ReversiblePruner::attach(&net_p, ladder).unwrap();
-        pp.set_parallel_apply_threshold(0); // force parallel
-        for level in [3usize, 1, 2, 0, 3, 0] {
-            ps.set_level(&mut net_s, level).unwrap();
-            pp.set_level(&mut net_p, level).unwrap();
-            assert_eq!(net_s, net_p, "divergence after set_level({level})");
-        }
-        ps.verify_restored(&net_s).unwrap();
-        pp.verify_restored(&net_p).unwrap();
     }
 
     #[test]
@@ -2634,6 +2477,59 @@ mod tests {
                 LevelDelta::from_spill_payload(&payload[..cut]),
                 Err(PruneError::SpillDecode { .. })
             ));
+        }
+    }
+
+    #[test]
+    fn spill_payload_bytes_are_pinned_and_unknown_version_words_rejected() {
+        // One hand-built segment, byte for byte: the on-device payload
+        // format cannot drift without this literal changing.
+        const PINNED: [u8; 60] = [
+            1, 0, 0, 0, // to_level
+            0, 0, 0, 0, // kind: evict
+            0, 0, 0, 0, // value precision: exact
+            1, 0, 0, 0, // seal version: blocked hash
+            0x7F, 0x9E, 0x3F, 0x8D, 0xF7, 0xCA, 0x46, 0xCE, // seal
+            1, 0, 0, 0, // span count
+            0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, // span: layer 0, entries 0..2
+            2, 0, 0, 0, // entry count
+            3, 0, 0, 0, 7, 0, 0, 0, // indices
+            0, 0, 0xC0, 0x3F, 0, 0, 0, 0x80, // values: 1.5, -0.0
+        ];
+        let seg = LevelDelta::new(
+            1,
+            vec![LayerDelta {
+                layer: LayerId(0),
+                indices: vec![3, 7],
+                values: DeltaValues::Exact(vec![1.5, -0.0]),
+            }],
+        );
+        assert_eq!(seg.to_spill_payload(), PINNED);
+        let decoded = LevelDelta::from_spill_payload(&PINNED).unwrap();
+        assert_eq!(decoded, seg);
+        assert!(decoded.verify());
+        // Seal version (byte 12): only 1 is accepted. Span and entry
+        // counts (bytes 24 and 40) past what the payload holds are
+        // rejected before anything is allocated for them.
+        let hostile_words = [
+            (12, 0u32),
+            (12, 2),
+            (12, u32::MAX),
+            (24, 3),
+            (24, u32::MAX),
+            (40, 3),
+            (40, u32::MAX),
+        ];
+        for (offset, word) in hostile_words {
+            let mut hostile = PINNED;
+            hostile[offset..offset + 4].copy_from_slice(&word.to_le_bytes());
+            assert!(
+                matches!(
+                    LevelDelta::from_spill_payload(&hostile),
+                    Err(PruneError::SpillDecode { .. })
+                ),
+                "word {word} at byte {offset} must be rejected"
+            );
         }
     }
 
@@ -2913,13 +2809,11 @@ mod tests {
         let seg = p.log_segment(1).unwrap().clone();
         let mut as_evict = seg.clone();
         as_evict.kind = DeltaKind::Evict;
-        for v in [ChecksumVersion::V1Fnv, ChecksumVersion::V2Blocked] {
-            assert_ne!(
-                seg.compute_with(v),
-                as_evict.compute_with(v),
-                "same contents must hash differently across kinds ({v:?})"
-            );
-        }
+        assert_ne!(
+            seg.computed_checksum(),
+            as_evict.computed_checksum(),
+            "same contents must hash differently across kinds"
+        );
     }
 
     #[test]

@@ -617,46 +617,6 @@ proptest! {
         as_f32.write_f32_slice(&floats[prefix..]);
         prop_assert_eq!(as_f32.finish(), reference.finish());
     }
-
-    // Parallel segment apply must be byte-identical to the sequential
-    // path at every step of any ladder walk: two pruners over clones of
-    // the same network, one forced parallel (threshold 0) and one forced
-    // serial (threshold MAX), must agree bit-exactly after every
-    // transition and both restore the original at level 0.
-    #[test]
-    fn parallel_apply_is_byte_identical_to_serial(
-        net_seed in 0u64..500,
-        crit in criterion_strategy(),
-        levels in ladder_levels_strategy(),
-        walk in prop::collection::vec(0usize..6, 1..10),
-    ) {
-        let original = small_net(net_seed);
-        let mut serial_net = original.clone();
-        let mut parallel_net = original.clone();
-        let mk_pruner = |net: &Network| {
-            let ladder = LadderConfig::new(levels.clone())
-                .criterion(crit)
-                .build(net)
-                .unwrap();
-            ReversiblePruner::attach(net, ladder).unwrap()
-        };
-        let mut serial = mk_pruner(&serial_net);
-        serial.set_parallel_apply_threshold(usize::MAX);
-        let mut parallel = mk_pruner(&parallel_net);
-        parallel.set_parallel_apply_threshold(0);
-        let n = serial.ladder().num_levels();
-        for &step in &walk {
-            serial.set_level(&mut serial_net, step % n).unwrap();
-            parallel.set_level(&mut parallel_net, step % n).unwrap();
-            prop_assert_eq!(&serial_net, &parallel_net);
-        }
-        serial.set_level(&mut serial_net, 0).unwrap();
-        parallel.set_level(&mut parallel_net, 0).unwrap();
-        serial.verify_restored(&serial_net).unwrap();
-        parallel.verify_restored(&parallel_net).unwrap();
-        prop_assert_eq!(&serial_net, &original);
-        prop_assert_eq!(&parallel_net, &original);
-    }
 }
 
 proptest! {

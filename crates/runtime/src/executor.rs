@@ -21,9 +21,7 @@
 //!    on a persistent work-stealing pool ([`crate::pool`]): workers park
 //!    between ticks, claim member indices from an atomic counter, and
 //!    write results by index, so the output is identical to serial
-//!    stepping. With [`FleetRuntime::set_batched`] the tick additionally
-//!    fuses same-configuration members' forward passes into one batched
-//!    GEMM per layer (DESIGN.md §14) — still byte-identical.
+//!    stepping (DESIGN.md §14).
 //! 4. **Record** — a [`FleetTickRecord`] aggregates per-member
 //!    level/energy/utility, the arbitration decision, and budget slack.
 //!
@@ -34,16 +32,13 @@
 
 use crate::fleet::{plan_budget_prevalidated, BudgetPlan, FleetMember};
 use crate::knowledge::ExternalCap;
-use crate::manager::{PendingTick, RuntimeManager};
+use crate::manager::RuntimeManager;
 use crate::planner::{FleetPlanner, PlannerStats};
-use crate::plant::Perception;
 use crate::pool::{SharedMut, Slots, StepPool};
 use crate::record::TickRecord;
 use crate::trace::TraceEvent;
 use crate::{Result, RuntimeError};
-use reprune_nn::BatchScratch;
 use reprune_platform::Joules;
-use reprune_prune::{plan_signature, weights_checksum};
 use reprune_scenario::{Scenario, Tick};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -182,17 +177,9 @@ pub struct FleetRuntime {
     profiles: Vec<FleetMember>,
     managers: Vec<RuntimeManager>,
     workers: usize,
-    batched: bool,
     /// Persistent worker pool; built lazily for the first multi-worker
     /// step and rebuilt only when the effective pool size changes.
     pool: Option<StepPool>,
-    /// Fleet-level arena for fused batched classification.
-    batch: BatchScratch,
-    /// Members classified through a fused batched forward pass (counts
-    /// only fusions of ≥ 2 members) since construction / stat reset.
-    batched_members: u64,
-    /// Members stepped while batched mode was on, fused or not.
-    stepped_members: u64,
     /// Whether arbitration runs through the stateful incremental planner.
     incremental: bool,
     /// The dirty-set planner, built lazily on the first incremental
@@ -247,11 +234,7 @@ impl FleetRuntime {
             profiles,
             managers,
             workers,
-            batched: false,
             pool: None,
-            batch: BatchScratch::new(),
-            batched_members: 0,
-            stepped_members: 0,
             incremental: false,
             planner: None,
             planner_epochs,
@@ -298,24 +281,6 @@ impl FleetRuntime {
         }
     }
 
-    /// Turns the batched same-level classification scheduler on or off.
-    ///
-    /// When on, each tick runs in three phases: every member's MAPE-K
-    /// pre-perception half, then one fused forward pass per bucket of
-    /// members with identical (ladder level, execution plan, weight
-    /// storage) configuration, then every member's post-perception half.
-    /// Members that do not share configuration — e.g. mid-CoW-detach
-    /// after a fault — fall back to their own serial classification, so
-    /// results stay byte-identical to unbatched stepping either way.
-    pub fn set_batched(&mut self, on: bool) {
-        self.batched = on;
-    }
-
-    /// Whether the batched classification scheduler is on.
-    pub fn batched(&self) -> bool {
-        self.batched
-    }
-
     /// Switches budget arbitration between the from-scratch greedy (off,
     /// the default) and the stateful dirty-set / bucketed / sharded
     /// [`FleetPlanner`] (on). Plans are byte-identical in both modes; the
@@ -346,24 +311,6 @@ impl FleetRuntime {
     /// (whichever mode produced it); `0.0` before the first step.
     pub fn last_plan_seconds(&self) -> f64 {
         self.last_plan_s
-    }
-
-    /// Fraction of members (stepped while batching was on) whose
-    /// classification ran inside a fused batch of ≥ 2 members. `0.0`
-    /// before any batched step.
-    pub fn batch_occupancy(&self) -> f64 {
-        if self.stepped_members == 0 {
-            0.0
-        } else {
-            self.batched_members as f64 / self.stepped_members as f64
-        }
-    }
-
-    /// Resets the batching-occupancy counters (benchmarks call this
-    /// between phases so occupancy reflects one measured span).
-    pub fn reset_batch_stats(&mut self) {
-        self.batched_members = 0;
-        self.stepped_members = 0;
     }
 
     /// Threads the current persistent pool would use for a phase
@@ -521,9 +468,6 @@ impl FleetRuntime {
     fn step_members(&mut self, tick: &Tick, dt: f64) -> Result<Vec<TickRecord>> {
         let n = self.managers.len();
         let workers = self.workers.min(n);
-        if self.batched {
-            return self.step_members_batched(tick, dt, workers);
-        }
         if workers <= 1 {
             return self.managers.iter_mut().map(|m| m.step(tick, dt)).collect();
         }
@@ -548,165 +492,6 @@ impl FleetRuntime {
             });
         }
         slots
-            .into_iter()
-            .map(|s| s.expect("every member slot is filled by its worker"))
-            .collect()
-    }
-
-    /// The batched three-phase step: pooled pre-perception halves, a
-    /// main-thread fused classification over same-configuration buckets,
-    /// and pooled post-perception halves.
-    ///
-    /// Fusion requires byte-level configuration identity — same ladder
-    /// level, `==`-equal execution plan, and identical parameter storage
-    /// ids (so the bucket genuinely shares one set of weights). Everyone
-    /// else classifies through the serial per-member path. Both routes
-    /// produce bit-identical perceptions, so the tick records and traces
-    /// match unbatched stepping exactly.
-    fn step_members_batched(
-        &mut self,
-        tick: &Tick,
-        dt: f64,
-        workers: usize,
-    ) -> Result<Vec<TickRecord>> {
-        let n = self.managers.len();
-        if workers > 1 {
-            self.ensure_pool(workers);
-        }
-
-        // Phase A — every member's MAPE-K half up through frame
-        // rendering. All weight mutation (pruning, restores, faults)
-        // completes here, so phase B sees settled configurations.
-        let mut pending_slots: Vec<Option<Result<PendingTick>>> = Vec::with_capacity(n);
-        pending_slots.resize_with(n, || None);
-        if workers <= 1 {
-            for (manager, slot) in self.managers.iter_mut().zip(pending_slots.iter_mut()) {
-                *slot = Some(manager.step_begin(tick, dt));
-            }
-        } else {
-            let pool = self.pool.as_ref().expect("ensure_pool built a pool");
-            let out = Slots::new(&mut pending_slots);
-            let members = SharedMut::new(&mut self.managers);
-            let next = AtomicUsize::new(0);
-            pool.run(&|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= members.len() {
-                    break;
-                }
-                // SAFETY: claim-loop exclusivity (see `step_members`).
-                let manager = unsafe { members.get_mut(i) };
-                let begun = manager.step_begin(tick, dt);
-                unsafe { out.put(i, begun) };
-            });
-        }
-        let mut pending: Vec<PendingTick> = Vec::with_capacity(n);
-        for slot in pending_slots {
-            pending.push(slot.expect("every member slot is filled by its worker")?);
-        }
-
-        // Phase B — bucket members by (level, plan signature). The
-        // signature is a filter; candidates are verified below with
-        // exact plan and storage-id comparison before fusing.
-        let mut buckets: Vec<((usize, u64), Vec<usize>)> = Vec::new();
-        for (i, (manager, p)) in self.managers.iter().zip(&pending).enumerate() {
-            let sig = manager
-                .plant()
-                .plans
-                .get(p.level)
-                .map_or(0, plan_signature);
-            let key = (p.level, sig);
-            match buckets.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, members)) => members.push(i),
-                None => buckets.push((key, vec![i])),
-            }
-        }
-
-        let mut perceptions: Vec<Option<Perception>> = vec![None; n];
-        let mut serial: Vec<usize> = Vec::new();
-        let mut fused_members = 0u64;
-        for ((level, _), members) in &buckets {
-            let rep = members[0];
-            let rep_plan = self.managers[rep].plant().plans.get(*level);
-            let rep_storage = self.managers[rep].plant().net.param_storage();
-            let mut fused: Vec<usize> = vec![rep];
-            for &i in &members[1..] {
-                let plant = self.managers[i].plant();
-                if plant.plans.get(*level) == rep_plan
-                    && plant.net.param_storage() == rep_storage
-                {
-                    fused.push(i);
-                } else {
-                    // Signature collision or detached storage (e.g. a
-                    // faulted member mid-CoW-detach): serial fallback.
-                    serial.push(i);
-                }
-            }
-            if fused.len() < 2 {
-                serial.extend(fused);
-                continue;
-            }
-            // One shared-weight checksum stands in for every fused
-            // member's own: identical storage ids ⇒ identical weights.
-            let shared_checksum = weights_checksum(&self.managers[rep].plant().net);
-            let inputs: Vec<&reprune_tensor::Tensor> =
-                fused.iter().map(|&i| &pending[i].input).collect();
-            let mut outs: Vec<(usize, f32)> = Vec::with_capacity(fused.len());
-            self.managers[rep].plant().net.predict_batched(
-                &inputs,
-                rep_plan,
-                &mut self.batch,
-                &mut outs,
-            )?;
-            for (&i, &(pred, confidence)) in fused.iter().zip(&outs) {
-                perceptions[i] = Some(Perception {
-                    pred,
-                    label: pending[i].label,
-                    confidence: confidence as f64,
-                    corrupt_inference: shared_checksum
-                        != self.managers[i].plant().mirror_checksum,
-                });
-            }
-            fused_members += fused.len() as u64;
-        }
-        for &i in &serial {
-            perceptions[i] = Some(self.managers[i].classify_pending(&pending[i])?);
-        }
-        let seen: Vec<Perception> = perceptions
-            .into_iter()
-            .map(|p| p.expect("every member classified, fused or serial"))
-            .collect();
-        self.batched_members += fused_members;
-        self.stepped_members += n as u64;
-
-        // Phase C — every member's post-perception half.
-        let mut record_slots: Vec<Option<Result<TickRecord>>> = Vec::with_capacity(n);
-        record_slots.resize_with(n, || None);
-        if workers <= 1 {
-            for (i, (manager, slot)) in self
-                .managers
-                .iter_mut()
-                .zip(record_slots.iter_mut())
-                .enumerate()
-            {
-                *slot = Some(manager.step_finish(tick, dt, &pending[i], seen[i]));
-            }
-        } else {
-            let pool = self.pool.as_ref().expect("ensure_pool built a pool");
-            let out = Slots::new(&mut record_slots);
-            let members = SharedMut::new(&mut self.managers);
-            let next = AtomicUsize::new(0);
-            pool.run(&|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= members.len() {
-                    break;
-                }
-                // SAFETY: claim-loop exclusivity (see `step_members`).
-                let manager = unsafe { members.get_mut(i) };
-                let record = manager.step_finish(tick, dt, &pending[i], seen[i]);
-                unsafe { out.put(i, record) };
-            });
-        }
-        record_slots
             .into_iter()
             .map(|s| s.expect("every member slot is filled by its worker"))
             .collect()

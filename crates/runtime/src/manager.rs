@@ -12,7 +12,7 @@ use crate::envelope::SafetyEnvelope;
 use crate::faults::{FaultDefense, FaultPlan, OperatingState};
 use crate::knowledge::Knowledge;
 use crate::monitor::{RiskEstimator, RiskEstimatorConfig};
-use crate::plant::{Perception, Plant};
+use crate::plant::Plant;
 use crate::policy::Policy;
 use crate::record::{RunResult, TickRecord};
 use crate::restore::RestoreChain;
@@ -39,27 +39,6 @@ pub use crate::restore::RestoreMechanism;
 // Moved to `reprune_scenario` next to `Weather`; re-exported here for
 // compatibility with pre-refactor import paths.
 pub use reprune_scenario::weather_to_context;
-
-/// Everything one MAPE-K iteration computes *before* perception: the
-/// fused risk estimate and analysis feeding record assembly, plus the
-/// rendered frame awaiting classification. Produced by
-/// `RuntimeManager::step_begin`, consumed by `step_finish` together with
-/// the classification — the seam the fleet executor batches across
-/// members.
-#[derive(Debug, Clone)]
-pub(crate) struct PendingTick {
-    /// Fused risk estimate from the Monitor.
-    pub(crate) estimated: f64,
-    /// The Analyze stage's assessment (ODD membership, envelope cap).
-    pub(crate) analysis: crate::stages::Analysis,
-    /// Ground-truth scene class of the rendered frame.
-    pub(crate) label: usize,
-    /// Effective ladder level after Execute (the batched scheduler's
-    /// bucket key).
-    pub(crate) level: usize,
-    /// The rendered frame awaiting classification.
-    pub(crate) input: reprune_tensor::Tensor,
-}
 
 /// Scale factor mapping the tiny trainable reference model to a
 /// deployment-scale perception network (DESIGN.md §5): MACs, weight
@@ -710,39 +689,13 @@ impl RuntimeManager {
         self.knowledge.faults_repaired
     }
 
-    /// Read access to the plant for the fleet executor's batched
-    /// classification phase (shared network/plan views, per-member
-    /// checksum fields).
-    pub(crate) fn plant(&self) -> &Plant {
-        &self.plant
-    }
-
     /// Runs one MAPE-K iteration for a scenario tick, returning the
     /// record.
-    ///
-    /// Internally this is three phases — [`RuntimeManager::step_begin`]
-    /// (everything through frame rendering), classification, and
-    /// [`RuntimeManager::step_finish`] (state relaxation + record
-    /// assembly + persistence). The fleet executor drives the phases
-    /// separately so same-configuration members can share one fused
-    /// batched classification; stepping them here back-to-back is
-    /// byte-identical.
     ///
     /// # Errors
     ///
     /// Propagates pruning/inference errors.
     pub fn step(&mut self, tick: &Tick, dt: f64) -> Result<TickRecord> {
-        let pending = self.step_begin(tick, dt)?;
-        let seen = self.classify_pending(&pending)?;
-        self.step_finish(tick, dt, &pending, seen)
-    }
-
-    /// The pre-perception phases of one MAPE-K iteration: fault
-    /// injection, Monitor, reload/restore servicing, integrity, risk
-    /// estimation, assessment, Plan, Execute, mirror sync, and frame
-    /// rendering. All weight mutation completes here; what remains is a
-    /// read-only classification plus record assembly.
-    pub(crate) fn step_begin(&mut self, tick: &Tick, dt: f64) -> Result<PendingTick> {
         let (k, plant, chain, trace) = (
             &mut self.knowledge,
             &mut self.plant,
@@ -785,39 +738,8 @@ impl RuntimeManager {
         // Ground-truth twin follows the same effective level, fault-free.
         plant.sync_mirror()?;
 
-        // Perception (render half): the frame RNG advances here, in the
-        // same order the fused path always advanced it.
-        let (label, input) = plant.render_frame(tick.weather);
-        Ok(PendingTick {
-            estimated,
-            analysis,
-            label,
-            level: plant.pruner.current_level(),
-            input,
-        })
-    }
-
-    /// Classifies a pending tick's rendered frame through this member's
-    /// own scratch arena — the serial (unbatched) perception path.
-    pub(crate) fn classify_pending(&mut self, pending: &PendingTick) -> Result<Perception> {
-        self.plant.classify(&pending.input, pending.label)
-    }
-
-    /// The post-perception phases of one MAPE-K iteration: confidence
-    /// feedback, state relaxation, record assembly, and the persistence
-    /// slice. `seen` must be the classification of `pending` — either
-    /// [`RuntimeManager::classify_pending`] or a bit-identical fused
-    /// batched classification.
-    pub(crate) fn step_finish(
-        &mut self,
-        tick: &Tick,
-        dt: f64,
-        pending: &PendingTick,
-        seen: Perception,
-    ) -> Result<TickRecord> {
-        let estimated = pending.estimated;
-        let analysis = pending.analysis;
-        let (k, plant, trace) = (&mut self.knowledge, &mut self.plant, &mut self.trace);
+        // Perception: render this tick's frame and classify it.
+        let seen = plant.infer(tick.weather)?;
         k.last_confidence = seen.confidence;
 
         // De-escalate once fault triggers have cleared.

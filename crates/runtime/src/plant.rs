@@ -104,40 +104,6 @@ impl Plant {
         Ok(())
     }
 
-    /// Renders one frame for the tick's weather, advancing the frame RNG
-    /// exactly as the fused render-classify path always has. Returns the
-    /// ground-truth label and the rendered input.
-    pub fn render_frame(&mut self, weather: Weather) -> (usize, reprune_tensor::Tensor) {
-        let context = weather_to_context(weather);
-        let label = self.frame_rng.next_below(SCENE_CLASSES);
-        let sample = render_scene(label, context, &mut self.frame_rng);
-        (label, sample.input)
-    }
-
-    /// Classifies an already-rendered frame at the current ladder level
-    /// and reports whether the inference ran on corrupted weights.
-    ///
-    /// Split from [`Plant::render_frame`] so the fleet executor can render
-    /// every member's frame first and then classify same-configuration
-    /// members in one fused batched forward pass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates inference errors.
-    pub fn classify(&mut self, input: &reprune_tensor::Tensor, label: usize) -> Result<Perception> {
-        let lvl = self.pruner.current_level();
-        let (pred, confidence) =
-            self.net
-                .predict_with(input, self.plans.get(lvl), &mut self.scratch)?;
-        let corrupt_inference = weights_checksum(&self.net) != self.mirror_checksum;
-        Ok(Perception {
-            pred,
-            label,
-            confidence: confidence as f64,
-            corrupt_inference,
-        })
-    }
-
     /// Renders one frame for the tick's weather, classifies it at the
     /// current ladder level, and reports whether the inference ran on
     /// corrupted weights.
@@ -146,7 +112,19 @@ impl Plant {
     ///
     /// Propagates inference errors.
     pub fn infer(&mut self, weather: Weather) -> Result<Perception> {
-        let (label, input) = self.render_frame(weather);
-        self.classify(&input, label)
+        let context = weather_to_context(weather);
+        let label = self.frame_rng.next_below(SCENE_CLASSES);
+        let sample = render_scene(label, context, &mut self.frame_rng);
+        let lvl = self.pruner.current_level();
+        let (pred, confidence) =
+            self.net
+                .predict_with(&sample.input, self.plans.get(lvl), &mut self.scratch)?;
+        let corrupt_inference = weights_checksum(&self.net) != self.mirror_checksum;
+        Ok(Perception {
+            pred,
+            label,
+            confidence: confidence as f64,
+            corrupt_inference,
+        })
     }
 }

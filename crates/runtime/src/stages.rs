@@ -17,6 +17,7 @@ use crate::policy::Policy;
 use crate::restore::{ChainReport, RestoreChain};
 use crate::trace::{StageId, TickTrace, TraceEventKind};
 use crate::Result;
+use reprune_prune::DeltaKind;
 use reprune_scenario::{OddSpec, Tick};
 
 /// Ladder cap applied while [`OperatingState::Degraded`]: no pruning
@@ -470,12 +471,29 @@ impl Execute for ChainExecutor {
             if target > plant.pruner.current_level() {
                 // Pruning deeper: in-place mask application, sub-tick cost.
                 let before = plant.pruner.log_entries();
-                let tr = plant.pruner.set_level(&mut plant.net, target)?;
-                if tr.from != tr.to {
-                    k.transitions += 1;
+                // Leaving an int8 rung pops its precision segment before
+                // pruning deeper. A corrupt one goes through the restore
+                // chain, which detects it once, repairs or degrades, and
+                // counts the transition itself.
+                let top = plant.pruner.log_segments().checked_sub(1);
+                let corrupt_precision = plant.pruner.verifies_on_pop()
+                    && top
+                        .and_then(|i| plant.pruner.log_segment(i))
+                        .is_some_and(|s| s.kind == DeltaKind::Precision && !s.verify());
+                if corrupt_precision {
+                    let rep = chain.set_level_chain(k, plant, target, tick.t, trace)?;
+                    k.absorb(rep);
+                } else {
+                    let tr = plant.pruner.set_level(&mut plant.net, target)?;
+                    if tr.from != tr.to {
+                        k.transitions += 1;
+                    }
+                    k.reseal(&plant.net);
                 }
-                k.reseal(&plant.net);
-                let pushed = plant.pruner.log_entries() - before;
+                // Only net log growth is charged: a snapshot fallback
+                // empties the log, and a popped precision segment can
+                // outweigh the evictions pushed after it.
+                let pushed = plant.pruner.log_entries().saturating_sub(before);
                 let lat = chain
                     .soc
                     .delta_restore_latency((pushed as f64 * chain.scale_factor) as usize);

@@ -75,97 +75,6 @@ fn pooled_and_serial_stepping_agree_exactly() {
 }
 
 #[test]
-fn batched_stepping_is_byte_identical_to_serial() {
-    let net = models::default_perception_cnn(21).expect("model");
-    let sc = scenario(7);
-    let budget = Some(Joules(10.0));
-
-    let mut serial = fleet(&net, Policy::Oracle, 4);
-    serial.set_workers(1);
-    let a = serial.run(&sc, budget).unwrap();
-
-    // The budget arbiter keeps driving members through the ladder, so
-    // the scheduler sees a live mix of levels — fused buckets where
-    // members agree, serial fallbacks where they do not. Both on the
-    // pool and single-threaded, the outcome must not change by a byte.
-    for workers in [1usize, 4] {
-        let mut batched = fleet(&net, Policy::Oracle, 4);
-        batched.set_workers(workers);
-        batched.set_batched(true);
-        let b = batched.run(&sc, budget).unwrap();
-        assert_eq!(a.names, b.names);
-        assert_eq!(
-            a.ticks, b.ticks,
-            "batched stepping with {workers} workers must match serial records"
-        );
-        assert_eq!(
-            a.trace, b.trace,
-            "batched stepping with {workers} workers must match the serial trace"
-        );
-        // Occupancy is not asserted here: the first prune CoW-detaches a
-        // member's storage for good, so an actively pruning fleet may
-        // legitimately never fuse — the point of this test is that the
-        // scheduler's fallback keeps every byte identical regardless.
-    }
-}
-
-#[test]
-fn detached_member_falls_back_to_serial_without_diverging() {
-    let net = models::default_perception_cnn(28).expect("model");
-    let sc = scenario(12);
-    // NoPruning members under no budget never leave level 0, so all
-    // shared-storage members are bucket-mates every tick. Member 2 is
-    // built from a privately detached copy — identical weights, different
-    // storage ids, exactly the shape of a member caught mid-CoW-detach —
-    // and must classify through the serial fallback.
-    let build = || {
-        FleetRuntime::new(
-            (0..4)
-                .map(|i| {
-                    let mut member_net = net.clone();
-                    if i == 2 {
-                        member_net.unshare_params();
-                    }
-                    (
-                        format!("member-{i}"),
-                        member_manager(&member_net, Policy::NoPruning, i as u64),
-                        UTILITY.to_vec(),
-                    )
-                })
-                .collect(),
-        )
-        .expect("fleet builds")
-    };
-
-    let mut serial = build();
-    serial.set_workers(1);
-    let a = serial.run(&sc, None).unwrap();
-
-    let mut batched = build();
-    batched.set_workers(2);
-    batched.set_batched(true);
-    let b = batched.run(&sc, None).unwrap();
-
-    assert_eq!(a.ticks, b.ticks, "fallback member must not diverge");
-    assert_eq!(a.trace, b.trace);
-    let occupancy = batched.batch_occupancy();
-    assert!(
-        (occupancy - 0.75).abs() < 1e-9,
-        "3 of 4 members fuse, the detached one falls back (occupancy {occupancy})"
-    );
-
-    // A fully shared fleet at one level fuses everyone.
-    let mut full = fleet(&net, Policy::NoPruning, 4);
-    full.set_batched(true);
-    full.run(&sc, None).unwrap();
-    assert!(
-        (full.batch_occupancy() - 1.0).abs() < 1e-9,
-        "uniform shared fleet must reach full batching occupancy (got {})",
-        full.batch_occupancy()
-    );
-}
-
-#[test]
 fn incremental_planner_run_is_byte_identical_to_scratch() {
     let net = models::default_perception_cnn(21).expect("model");
     let sc = scenario(7);
@@ -177,10 +86,9 @@ fn incremental_planner_run_is_byte_identical_to_scratch() {
         .run_with(&sc, |t| Some(Joules(10.0 - 0.02 * t.t)))
         .unwrap();
 
-    for (workers, batched) in [(1usize, false), (4, false), (4, true)] {
+    for workers in [1usize, 4] {
         let mut inc = fleet(&net, Policy::Oracle, 4);
         inc.set_workers(workers);
-        inc.set_batched(batched);
         inc.set_incremental_planner(true);
         assert!(inc.incremental_planner());
         let b = inc
@@ -189,7 +97,7 @@ fn incremental_planner_run_is_byte_identical_to_scratch() {
         assert_eq!(a.names, b.names);
         assert_eq!(
             a.ticks, b.ticks,
-            "incremental planning ({workers} workers, batched={batched}) must match scratch records"
+            "incremental planning ({workers} workers) must match scratch records"
         );
         assert_eq!(a.trace, b.trace, "merged traces must be identical too");
         let stats = inc.planner_stats().expect("planner ran");

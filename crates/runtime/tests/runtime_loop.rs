@@ -903,3 +903,128 @@ fn amortized_storm_campaign_keeps_trace_balanced() {
         "the storm must exercise the sliced climb"
     );
 }
+
+/// Leaving an int8 rung pops its precision segment first, even when the
+/// walk goes deeper. Parks an oracle-driven manager on the int8 rung of
+/// a 4-level ladder, then steps a low-risk tick that asks for the
+/// deepest level while log bit-flips land in the precision segment.
+/// Returns the manager, the deepening tick's outcome, and the transition
+/// and corruption-hit counts before it.
+fn deepen_from_corrupt_int8_rung(
+    defense: FaultDefense,
+    analyzer: Option<Box<dyn reprune_runtime::Analyze>>,
+) -> (
+    RuntimeManager,
+    reprune_runtime::Result<reprune_runtime::TickRecord>,
+    usize,
+    u64,
+) {
+    use reprune_nn::PrecisionMode::{Int8, F32};
+    use reprune_runtime::FaultPlan;
+    let tick = |t: f64, risk: f64| reprune_scenario::Tick {
+        t,
+        segment: SegmentKind::Highway,
+        weather: Weather::Clear,
+        risk,
+        active_events: 0,
+    };
+    let dt = 0.1;
+    let net = models::default_perception_cnn(1).unwrap();
+    let ladder = LadderConfig::new(vec![0.0, 0.3, 0.6, 0.9])
+        .criterion(PruneCriterion::ChannelL2)
+        .precisions(vec![F32, Int8, F32, F32])
+        .build(&net)
+        .unwrap();
+    let mut m = RuntimeManager::attach(
+        net,
+        ladder,
+        RuntimeManagerConfig::new(Policy::Oracle, env()).defense(defense),
+    )
+    .unwrap();
+    if let Some(analyzer) = analyzer {
+        m.set_analyzer(analyzer);
+    }
+    // Moderate risk parks the oracle on the int8 rung.
+    m.step(&tick(0.0, 0.45), dt).unwrap();
+    assert_eq!(m.current_level(), 1);
+    // Flip log bits, then ask for the deepest level in the same tick.
+    m.set_fault_plan(Some(FaultPlan::new(
+        vec![FaultEvent {
+            start_s: dt,
+            kind: FaultKind::LogBitFlip { flips: 4 },
+        }],
+        3,
+    )));
+    let transitions = m.transitions();
+    let hits = m.pruner_integrity().corruption_hits;
+    let rec = m.step(&tick(dt, 0.05), dt);
+    (m, rec, transitions, hits)
+}
+
+#[test]
+fn deepening_from_a_corrupt_int8_rung_takes_the_restore_chain() {
+    // Checksum-only defense runs no scrub, so the deepening tick is the
+    // first to touch the corrupt segment, and with no shadow copy to
+    // repair from, the chain parks the system in minimal risk.
+    let (m, rec, transitions, hits) =
+        deepen_from_corrupt_int8_rung(FaultDefense::ChecksumOnly, None);
+    let rec = rec.expect("a corrupt precision segment is a detected fault, not a step error");
+    assert!(rec.fault_detected, "the corruption must be reported");
+    assert!(!rec.corrupt_inference, "corrupt weights must not be served");
+    assert_eq!(m.op_state(), OperatingState::MinimalRisk);
+    assert_eq!(m.current_level(), 1, "an unrepairable log stays put");
+    assert_eq!(m.transitions(), transitions, "no transition completed");
+    assert_eq!(
+        m.pruner_integrity().corruption_hits,
+        hits + 1,
+        "detected once"
+    );
+}
+
+#[test]
+fn deepening_from_a_corrupt_int8_rung_repairs_from_the_shadow() {
+    // Full-chain defense with the background scrub switched off: the
+    // deepening pop is again the first reader of the corrupt segment.
+    // The chain repairs it from the shadow log and the walk completes,
+    // counted as one transition.
+    struct NoScrub(SafetyEnvelope);
+    impl reprune_runtime::Analyze for NoScrub {
+        fn verify_integrity(
+            &mut self,
+            _k: &mut reprune_runtime::Knowledge,
+            _plant: &mut reprune_runtime::Plant,
+            _chain: &reprune_runtime::RestoreChain,
+            _tick: &reprune_scenario::Tick,
+            _trace: &mut reprune_runtime::TickTrace,
+        ) -> reprune_runtime::Result<()> {
+            Ok(())
+        }
+
+        fn assess(
+            &mut self,
+            _k: &reprune_runtime::Knowledge,
+            tick: &reprune_scenario::Tick,
+            estimated_risk: f64,
+        ) -> reprune_runtime::Analysis {
+            reprune_runtime::Analysis {
+                estimated_risk,
+                inside_odd: true,
+                max_allowed_level: self.0.max_level(tick.risk),
+            }
+        }
+    }
+
+    let (m, rec, transitions, hits) =
+        deepen_from_corrupt_int8_rung(FaultDefense::FullChain, Some(Box::new(NoScrub(env()))));
+    let rec = rec.expect("a corrupt precision segment is a detected fault, not a step error");
+    assert!(rec.fault_detected, "the corruption must be reported");
+    assert!(rec.fault_repaired, "the shadow log repairs it");
+    assert!(!rec.corrupt_inference, "corrupt weights must not be served");
+    assert_eq!(m.current_level(), 3, "the repaired walk completes");
+    assert_eq!(m.transitions(), transitions + 1, "the deepen counts once");
+    assert_eq!(
+        m.pruner_integrity().corruption_hits,
+        hits + 1,
+        "detected once"
+    );
+}

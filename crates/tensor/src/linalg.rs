@@ -654,56 +654,6 @@ fn matvec_slices(a: &[f32], x: &[f32], live_rows: Option<&[u32]>, out: &mut [f32
     }
 }
 
-/// Packs `B` length-`k` vectors as the columns of a `(k × B)` matrix:
-/// `out[p·B + lane] = xs[lane][p]`.
-///
-/// This is the batched-inference packing seam: a fleet of members sharing
-/// one weight matrix stacks its activation vectors as extra GEMM columns,
-/// and because every kernel accumulates each output element over `p` in
-/// the same order (see the module-level bit-exactness contract), column
-/// `lane` of the fused product is **bit-identical** to the member's own
-/// [`matvec`] result.
-///
-/// # Panics
-///
-/// Panics if any vector's length differs from `k` or `out` is not
-/// `k·xs.len()` long.
-pub fn pack_columns(xs: &[&[f32]], k: usize, out: &mut [f32]) {
-    let b = xs.len();
-    assert_eq!(out.len(), k * b, "pack_columns: out length");
-    for (lane, x) in xs.iter().enumerate() {
-        assert_eq!(x.len(), k, "pack_columns: vector {lane} length");
-        for (p, &v) in x.iter().enumerate() {
-            out[p * b + lane] = v;
-        }
-    }
-}
-
-/// Concatenates `B` `(k × n)` matrices horizontally into one
-/// `(k × B·n)` matrix: `out[p·(B·n) + lane·n + j] = mats[lane][p·n + j]`.
-///
-/// The batched-convolution packing seam: each member's im2col patch
-/// matrix becomes a block of columns of one fused GEMM rhs. Per-element
-/// bit-identity to the members' own convolutions follows from the same
-/// accumulation-order contract as [`pack_columns`].
-///
-/// # Panics
-///
-/// Panics if any matrix's length differs from `k·n` or `out` is not
-/// `k·n·mats.len()` long.
-pub fn pack_column_blocks(mats: &[&[f32]], k: usize, n: usize, out: &mut [f32]) {
-    let b = mats.len();
-    assert_eq!(out.len(), k * b * n, "pack_column_blocks: out length");
-    let bn = b * n;
-    for (lane, m) in mats.iter().enumerate() {
-        assert_eq!(m.len(), k * n, "pack_column_blocks: matrix {lane} length");
-        for p in 0..k {
-            out[p * bn + lane * n..p * bn + lane * n + n]
-                .copy_from_slice(&m[p * n..(p + 1) * n]);
-        }
-    }
-}
-
 /// Outer product of two vectors: `(m) ⊗ (n) → (m×n)`.
 ///
 /// # Errors
@@ -897,24 +847,19 @@ mod tests {
     }
 
     #[test]
-    fn pack_columns_interleaves_lanes() {
-        let a = [1.0f32, 2.0, 3.0];
-        let b = [4.0f32, 5.0, 6.0];
-        let mut out = [0.0f32; 6];
-        pack_columns(&[&a, &b], 3, &mut out);
-        assert_eq!(out, [1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
-    }
-
-    #[test]
     fn packed_column_gemm_matches_per_lane_matvec() {
-        // The bit-exactness claim batched fleet inference rests on:
-        // fusing member activation vectors as extra GEMM columns yields
-        // each member's matvec result bit-for-bit.
+        // An output column depends only on its own rhs column: vectors
+        // stacked as the columns of one rhs reproduce each vector's
+        // matvec bit-for-bit.
         let a = Tensor::from_vec((0..35).map(|v| (v as f32).sin()).collect(), &[5, 7]).unwrap();
         let x0 = Tensor::from_vec((0..7).map(|v| (v as f32).cos()).collect(), &[7]).unwrap();
         let x1 = Tensor::from_vec((0..7).map(|v| 0.1 * v as f32 - 0.3).collect(), &[7]).unwrap();
-        let mut packed = vec![0.0f32; 7 * 2];
-        pack_columns(&[x0.data(), x1.data()], 7, &mut packed);
+        let packed: Vec<f32> = x0
+            .data()
+            .iter()
+            .zip(x1.data())
+            .flat_map(|(&u, &v)| [u, v])
+            .collect();
         let mut fused = vec![0.0f32; 5 * 2];
         let mut scratch = GemmScratch::new();
         matmul_slices_into(a.data(), 5, 7, &packed, 2, None, &mut fused, &mut scratch);
@@ -924,19 +869,6 @@ mod tests {
             assert_eq!(fused[r * 2].to_bits(), y0.data()[r].to_bits(), "lane 0 row {r}");
             assert_eq!(fused[r * 2 + 1].to_bits(), y1.data()[r].to_bits(), "lane 1 row {r}");
         }
-    }
-
-    #[test]
-    fn pack_column_blocks_concatenates_horizontally() {
-        // Two (2 x 3) matrices -> one (2 x 6).
-        let a = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let b = [7.0f32, 8.0, 9.0, 10.0, 11.0, 12.0];
-        let mut out = [0.0f32; 12];
-        pack_column_blocks(&[&a, &b], 2, 3, &mut out);
-        assert_eq!(
-            out,
-            [1.0, 2.0, 3.0, 7.0, 8.0, 9.0, 4.0, 5.0, 6.0, 10.0, 11.0, 12.0]
-        );
     }
 
     #[test]
@@ -953,8 +885,11 @@ mod tests {
         let mut lane1 = vec![0.0f32; m * n];
         matmul_slices_into(&a, m, k, &b0, n, Some(&live), &mut lane0, &mut scratch);
         matmul_slices_into(&a, m, k, &b1, n, Some(&live), &mut lane1, &mut scratch);
-        let mut packed = vec![0.0f32; k * 2 * n];
-        pack_column_blocks(&[&b0, &b1], k, n, &mut packed);
+        // Row p of the rhs is row p of b0 followed by row p of b1.
+        let packed: Vec<f32> = (0..k)
+            .flat_map(|p| b0[p * n..(p + 1) * n].iter().chain(&b1[p * n..(p + 1) * n]))
+            .copied()
+            .collect();
         let mut fused = vec![0.0f32; m * 2 * n];
         matmul_slices_into(&a, m, k, &packed, 2 * n, Some(&live), &mut fused, &mut scratch);
         for r in 0..m {

@@ -10,16 +10,15 @@
 //! Run with:
 //! ```sh
 //! cargo run --release -p reprune --example fleet_storm -- \
-//!     [--members N] [--workers N] [--batched] [--incremental-planner on|off]
+//!     [--members N] [--workers N] [--incremental-planner on|off]
 //! ```
 //!
 //! `--workers` caps the persistent step pool (default: machine
-//! parallelism; `1` forces serial stepping); `--batched` fuses
-//! same-configuration members' forward passes; `--incremental-planner
+//! parallelism; `1` forces serial stepping); `--incremental-planner
 //! on` arbitrates each tick through the stateful dirty-set planner
 //! instead of planning from scratch. The example times every tick and
-//! prints p50/p95 step *and* planner latency, dirty-set occupancy, and
-//! batching occupancy; with `--workers 4` or more on a multi-core host
+//! prints p50/p95 step *and* planner latency and dirty-set occupancy;
+//! with `--workers 4` or more on a multi-core host
 //! it exits nonzero if the pooled path is more than 5% slower than a
 //! serial rerun, and with the incremental planner at 1000+ members it
 //! exits nonzero if incremental planning is slower than a from-scratch
@@ -45,7 +44,6 @@ const UTILITY: [f64; 4] = [0.95, 0.93, 0.88, 0.60];
 struct Options {
     members: usize,
     workers: usize,
-    batched: bool,
     incremental: bool,
 }
 
@@ -53,7 +51,6 @@ fn parse_args() -> Options {
     let mut opts = Options {
         members: 4,
         workers: std::thread::available_parallelism().map_or(1, usize::from),
-        batched: false,
         incremental: false,
     };
     let mut args = std::env::args().skip(1);
@@ -67,7 +64,6 @@ fn parse_args() -> Options {
         match arg.as_str() {
             "--members" => opts.members = int_arg("--members"),
             "--workers" => opts.workers = int_arg("--workers"),
-            "--batched" => opts.batched = true,
             "--incremental-planner" => {
                 opts.incremental = match args.next().as_deref() {
                     Some("on") => true,
@@ -77,7 +73,7 @@ fn parse_args() -> Options {
             }
             other => panic!(
                 "unknown argument: {other} (expected --members N / --workers N / \
-                 --batched / --incremental-planner on|off)"
+                 --incremental-planner on|off)"
             ),
         }
     }
@@ -87,7 +83,6 @@ fn parse_args() -> Options {
 fn build_fleet(
     members: usize,
     workers: usize,
-    batched: bool,
     incremental: bool,
 ) -> Result<FleetRuntime, Box<dyn std::error::Error>> {
     let net = models::default_perception_cnn(9)?;
@@ -112,7 +107,6 @@ fn build_fleet(
             .collect::<Result<Vec<_>, Box<dyn std::error::Error>>>()?,
     )?;
     fleet.set_workers(workers);
-    fleet.set_batched(batched);
     fleet.set_incremental_planner(incremental);
     Ok(fleet)
 }
@@ -208,10 +202,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // its own fault campaign drawn from this schedule.
     let storm = storm_events(&StormConfig::severe(40.0, 140.0), 33);
     println!(
-        "highway drive, 180 s, {}-camera fleet ({} worker(s){}{}); {} faults over [40 s, 140 s)",
+        "highway drive, 180 s, {}-camera fleet ({} worker(s){}); {} faults over [40 s, 140 s)",
         opts.members,
         opts.workers,
-        if opts.batched { ", batched" } else { "" },
         if opts.incremental {
             ", incremental planner"
         } else {
@@ -221,7 +214,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let scenario = scenario.with_faults(storm);
 
-    let mut fleet = build_fleet(opts.members, opts.workers, opts.batched, opts.incremental)?;
+    let mut fleet = build_fleet(opts.members, opts.workers, opts.incremental)?;
 
     // N members, each carrying live weights + a mirror + a snapshot —
     // yet one shared base copy until a member actually mutates a tensor.
@@ -316,12 +309,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             stats.plans
         );
     }
-    if opts.batched {
-        println!(
-            "  batching occupancy     {:.2} (fraction of member steps fused)",
-            fleet.batch_occupancy()
-        );
-    }
 
     // Every violation on record is a fault-era integrity flag (degraded /
     // minimal-risk ticks while the defense chain heals) — never the
@@ -347,7 +334,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // threading overhead).
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     if opts.workers >= 4 && cores >= 4 {
-        let mut serial = build_fleet(opts.members, 1, opts.batched, opts.incremental)?;
+        let mut serial = build_fleet(opts.members, 1, opts.incremental)?;
         let (serial_r, serial_t) = drive(&mut serial, &scenario, dense)?;
         assert_eq!(r.ticks, serial_r.ticks, "pooled run must match serial run");
         let serial_p50 = percentile_us(&serial_t.steps, 50);
@@ -373,7 +360,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // same bytes, and fail the example if incremental planning was
     // slower per tick.
     if opts.incremental && opts.members >= 1000 {
-        let mut scratch = build_fleet(opts.members, opts.workers, opts.batched, false)?;
+        let mut scratch = build_fleet(opts.members, opts.workers, false)?;
         let (scratch_r, scratch_t) = drive(&mut scratch, &scenario, dense)?;
         assert_eq!(
             r.ticks, scratch_r.ticks,
