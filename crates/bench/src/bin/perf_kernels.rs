@@ -362,7 +362,7 @@ fn main() {
         let mut pruner = ReversiblePruner::attach(&net, ladder).expect("attach");
         rderived.push((
             "residual_entries_L1".to_string(),
-            pruner.precision_entries_at(1).to_string(),
+            pruner.hop_entries(0, 1).rung.to_string(),
         ));
         pruner.set_level(&mut net, 1).expect("warmup pack");
         pruner.set_level(&mut net, 0).expect("warmup apply");

@@ -179,9 +179,9 @@ fn main() {
         print_rule(&widths);
         let mut mixed_ms_by_level = Vec::new();
         for level in 1..mixed.num_levels() {
-            let evicted = mixed.level(level).expect("level").masks.pruned_count();
-            let residual = pruner.precision_entries_at(level);
-            let entries = ((evicted + residual) as f64 * SCALE) as usize;
+            let hops = pruner.hop_entries(0, level);
+            let residual = hops.rung;
+            let entries = ((hops.evict + residual) as f64 * SCALE) as usize;
             let cost = price(
                 &soc,
                 RestoreScenario {
@@ -259,9 +259,7 @@ fn main() {
             tuned_pruner.set_level(&mut tuned_live, level).expect("prune");
             let tuned_acc =
                 metrics::evaluate(&mut tuned_live, test.samples()).expect("eval").accuracy;
-            let evicted = tuned_ladder.level(level).expect("level").masks.pruned_count();
-            let entries =
-                ((evicted + tuned_pruner.fine_tune_entries_to(level)) as f64 * SCALE) as usize;
+            let entries = (tuned_pruner.hop_entries(0, level).walk() as f64 * SCALE) as usize;
             let scenario = RestoreScenario {
                 pruned_entries: entries,
                 model_bytes,

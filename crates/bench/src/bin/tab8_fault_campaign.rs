@@ -43,7 +43,7 @@
 //!     same-seq suffix of an uninterrupted run's `trace.jsonl`,
 //!   * `--fine-tune` — drive a per-level fine-tuned ladder (DESIGN.md
 //!     §17) instead of the shared-weight one, so the spilled log
-//!     carries `DeltaKind::FineTune` segments; recovery replays the
+//!     carries tune-hop segments; recovery replays the
 //!     deterministic attach-time tuning and must still be
 //!     byte-identical.
 
@@ -140,7 +140,7 @@ fn recovery_arm(dir: &str, resume: bool, pace_ms: u64, quick: bool, fine_tune: b
     let (net, _) = trained_perception(80);
     // Same rungs either way; the fine-tuned variant briefly tunes each
     // level at attach (deterministically — recovery replays the exact
-    // walk) and spills `DeltaKind::FineTune` segments.
+    // walk) and spills tune-hop segments.
     let ladder = |net: &Network| -> SparsityLadder {
         if fine_tune {
             LadderConfig::new(vec![0.0, 0.3, 0.6, 0.9])

@@ -136,10 +136,14 @@ impl<'b> Reader<'b> {
         for _ in 0..rank {
             dims.push(self.u32()? as usize);
         }
-        let volume: usize = dims.iter().product();
-        if volume > 256 << 20 {
-            return Err(NnError::bad_architecture("model image tensor too large"));
-        }
+        // Dims are untrusted: their product must not overflow, and the
+        // volume is bounded by the bytes left before anything is
+        // allocated for it.
+        let volume = dims
+            .iter()
+            .try_fold(1usize, |v, &d| v.checked_mul(d))
+            .filter(|&v| v <= (self.buf.len() - self.pos) / 4)
+            .ok_or_else(|| NnError::bad_architecture("model image tensor exceeds the image"))?;
         let mut data = Vec::with_capacity(volume);
         for _ in 0..volume {
             data.push(self.f32()?);
@@ -406,6 +410,28 @@ mod tests {
         assert!(from_bytes(&bytes[..bytes.len() - 9]).is_err());
         assert!(from_bytes(&[]).is_err());
         assert!(from_bytes(b"RPRN").is_err());
+    }
+
+    #[test]
+    fn rejects_tensor_dims_whose_volume_overflows() {
+        // A checksum-valid image whose one tensor claims dims
+        // [u32::MAX; 3]: the volume overflows usize.
+        let mut w = Writer::new();
+        w.buf.extend_from_slice(MAGIC);
+        w.u16(VERSION);
+        w.str("hostile");
+        w.u32(1);
+        w.u8(tag::LINEAR);
+        w.u32(3);
+        for _ in 0..3 {
+            w.u32(u32::MAX);
+        }
+        let checksum = fnv1a(&w.buf);
+        w.u64(checksum);
+        assert!(matches!(
+            from_bytes(&w.buf),
+            Err(NnError::BadArchitecture { .. })
+        ));
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use mask::{LayerMask, MaskSet};
 pub use packed::{exec_plan, ladder_plans};
 pub use checksum::BlockedHasher;
 pub use pruner::{
-    weights_checksum, weights_checksum_fnv, DeltaKind, IntegrityStats, LogPrecision, PrunerCursor,
+    weights_checksum, weights_checksum_fnv, HopEntries, IntegrityStats, LogPrecision, PrunerCursor,
     ReversiblePruner, Transition,
 };
 pub use schedule::IterativeSchedule;

@@ -3,18 +3,20 @@
 //!
 //! [`ReversiblePruner`] attaches to a live [`Network`] with a
 //! [`SparsityLadder`] and then moves the network between ladder levels
-//! in place:
+//! in place. Every ladder step is a **hop**, a transform of its parent's
+//! weights built at attach time: the positions it writes, per layer, and
+//! a value rule for them.
 //!
-//! * **up** (more sparsity): the weights about to be evicted are copied
-//!   into a [`LevelDelta`] (index + value pairs) pushed onto the log, then
-//!   zeroed in the live tensor;
-//! * **down** (less sparsity): deltas are popped off the log and written
-//!   back, restoring exactly the evicted values;
-//! * **precision rungs**: entering an int8 ladder level captures the
-//!   full-precision originals of every live quantized weight in a
-//!   [`DeltaKind::Precision`] segment before rounding those weights
-//!   through the int8 grid in place, so a risk spike restores capacity
-//!   *and* precision through the very same pop path.
+//! * A level's **eviction** hop zeroes the weights its mask prunes.
+//! * A fine-tuned level's **tune** hop writes the values its attach-time
+//!   fine-tune found.
+//! * An **int8 rung** hop rounds the live weights through the int8 grid.
+//!
+//! Pushing a hop copies the parent bits of every position it writes into
+//! a [`LevelDelta`] (index + value pairs) on the log; popping the segment
+//! writes them back. One push, one pop and one recovery install serve
+//! every hop, so a risk spike restores capacity *and* precision through
+//! the very same pop path.
 //!
 //! Both directions cost O(#weights that change level), not O(model size),
 //! and need no storage I/O or retraining. A checksum captured at attach
@@ -212,41 +214,31 @@ fn apply_span(indices: &[u32], values: ValueSlice<'_>, data: &mut [f32]) {
     }
 }
 
-/// What a reversal-log segment restores.
-///
-/// [`DeltaKind::Evict`] segments hold weights zeroed by a sparsity step
-/// — the original reversal-log mechanism. [`DeltaKind::Precision`]
-/// segments hold the full-precision originals of weights rounded through
-/// the int8 grid on entry to a quantized ladder rung; popping one
-/// restores precision without changing the sparsity level. At most one
-/// precision segment exists at a time, it always sits on top of the log,
-/// and it belongs to the level the pruner currently occupies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DeltaKind {
-    /// Weights evicted (zeroed) by a sparsity transition.
-    #[default]
+/// Which kind of hop a segment undoes: the segment's on-disk tag, also
+/// mixed into its checksum. Every kind is pushed, popped and installed
+/// by the same code; the tag only names which attach-time hop a
+/// recovered segment must match.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+enum DeltaKind {
+    /// A level's eviction hop: the sparsity step zeroed the positions.
     Evict,
-    /// Full-precision originals captured when entering an int8 rung.
+    /// An int8 rung hop: the positions were rounded through the int8
+    /// grid.
     Precision,
-    /// Parent-level originals of the weights a level's attach-time
-    /// fine-tune retuned. Popping one rolls the live weights back from
-    /// the level's tuned optimum to its parent level's values — the
-    /// fine-tune analogue of a precision pop: bounded, in-place, no
-    /// retraining on the critical path. A fine-tune segment belongs to
-    /// the level that pushed it and sits directly above that level's
-    /// eviction segment.
+    /// A level's tune hop: the positions took the level's attach-time
+    /// fine-tuned values.
     FineTune,
 }
 
-/// Extra word mixed into a [`DeltaKind::Precision`] segment's checksum,
-/// separating its hash domain from eviction segments with identical
-/// contents. Eviction hashing is untouched, so every pre-precision log
-/// keeps verifying bit-for-bit.
+/// Extra word mixed into a precision segment's checksum, separating its
+/// hash domain from eviction segments with identical contents. Eviction
+/// hashing is untouched, so every pre-precision log keeps verifying
+/// bit-for-bit.
 const PRECISION_CHECKSUM_DOMAIN: u32 = 0x5052_4543; // "PREC"
 
-/// Domain word for [`DeltaKind::FineTune`] segment checksums, keeping
-/// their hash domain separate from eviction and precision segments with
-/// identical contents.
+/// Domain word for fine-tune segment checksums, keeping their hash
+/// domain separate from eviction and precision segments with identical
+/// contents.
 const FINE_TUNE_CHECKSUM_DOMAIN: u32 = 0x5455_4E45; // "TUNE"
 
 /// Seal-algorithm word of every spill payload; 1 names the blocked
@@ -254,9 +246,9 @@ const FINE_TUNE_CHECKSUM_DOMAIN: u32 = 0x5455_4E45; // "TUNE"
 /// other value.
 const SEAL_VERSION: u32 = 1;
 
-/// All weights evicted when stepping from ladder level `k` to `k+1`, or
-/// the full-precision originals captured when entering an int8 rung
-/// (see [`DeltaKind`]).
+/// One reversal-log segment: the parent bits of every position one hop
+/// overwrote — the weights a sparsity step evicted, the originals an
+/// int8 rung rounded, or the parent values a level's fine-tune replaced.
 ///
 /// Stored as a single arena: one index vector and one value vector for
 /// the whole segment, with a span table mapping contiguous ranges to
@@ -264,13 +256,10 @@ const SEAL_VERSION: u32 = 1;
 /// and the buffers themselves are pooled and reused across cycles.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LevelDelta {
-    /// The level this delta raised the network *to* (for precision
-    /// segments: the level whose rung captured it).
+    /// The level of the hop that pushed this segment (for an eviction
+    /// hop, the level it raised the network *to*).
     pub to_level: usize,
-    /// What this segment restores. Defaults to [`DeltaKind::Evict`] so
-    /// logs serialized before the precision axis decode unchanged.
-    #[serde(default)]
-    pub kind: DeltaKind,
+    kind: DeltaKind,
     spans: Vec<LayerSpan>,
     indices: Vec<u32>,
     values: DeltaValues,
@@ -336,9 +325,9 @@ impl LevelDelta {
     }
 
     /// Clears contents for refilling, keeping buffer capacity.
-    fn reset(&mut self, to_level: usize) {
+    fn reset(&mut self, to_level: usize, kind: DeltaKind) {
         self.to_level = to_level;
-        self.kind = DeltaKind::Evict;
+        self.kind = kind;
         self.spans.clear();
         self.indices.clear();
         self.values.clear();
@@ -427,6 +416,17 @@ impl LevelDelta {
     /// Whether the current contents still match the sealed checksum.
     pub fn verify(&self) -> bool {
         self.computed_checksum() == self.checksum
+    }
+
+    /// The error reporting this segment, at log position `segment`, as
+    /// corrupt.
+    fn corruption(&self, segment: usize) -> PruneError {
+        PruneError::LogCorruption {
+            segment,
+            to_level: self.to_level,
+            expected: self.checksum,
+            actual: self.computed_checksum(),
+        }
     }
 
     /// Bit pattern of the stored value at `i` (f32 bits for exact logs,
@@ -520,22 +520,27 @@ impl LevelDelta {
         if span_count > r.remaining() / 12 {
             return Err(err("span count exceeds payload"));
         }
+        // The spans must tile `0..count` contiguously and in order, as
+        // every writer lays them out, so no span can slice past the
+        // entries.
         let mut spans = Vec::with_capacity(span_count);
+        let mut tiled = 0usize;
         for _ in 0..span_count {
             let layer = LayerId(r.u32().ok_or_else(|| err("truncated span"))? as usize);
             let start = r.u32().ok_or_else(|| err("truncated span"))? as usize;
             let end = r.u32().ok_or_else(|| err("truncated span"))? as usize;
-            if start > end {
-                return Err(err("span start past end"));
+            if start != tiled || end < start {
+                return Err(err("span table does not tile the entries"));
             }
+            tiled = end;
             spans.push(LayerSpan { layer, start, end });
         }
         let count = r.u32().ok_or_else(|| err("missing entry count"))? as usize;
         if count > r.remaining() / 8 {
             return Err(err("entry count exceeds payload"));
         }
-        if spans.last().map_or(0, |s| s.end) > count {
-            return Err(err("span table exceeds entry count"));
+        if tiled != count {
+            return Err(err("span table does not cover the entry count"));
         }
         let mut indices = Vec::with_capacity(count);
         for _ in 0..count {
@@ -650,78 +655,132 @@ pub struct PrunerCursor {
     pub alloc_events: usize,
 }
 
-/// Indices evicted per layer when stepping one ladder level up,
-/// precomputed at attach time so a push never re-derives the mask
-/// difference sets on the hot path.
+/// What a hop writes at each position it lists.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct TransitionPlan {
-    layers: Vec<(LayerId, Vec<u32>)>,
-    entries: usize,
+enum Rule {
+    /// Zero: a sparsity step evicts the position.
+    Zero,
+    /// The level's attach-time fine-tuned values, parallel to the
+    /// positions.
+    Tuned(Vec<f32>),
+    /// The live value rounded through the int8 grid of its
+    /// `unit_len`-wide row (one GEMM row). The scale is computed over
+    /// the full row — pruned zeros included, matching what the quantized
+    /// executor derives at inference time — so rung entry and every
+    /// crash-recovery replay round identically.
+    Int8 { unit_len: usize },
 }
 
-/// Per-layer rounding plan for one int8 ladder rung, precomputed at
-/// attach time: the live (unpruned) weight positions of one quantized
-/// layer plus its row geometry, so entering a rung never re-derives
-/// mask complements on the hot path.
+/// The positions one hop writes in one layer, ascending, and the rule
+/// giving their new values.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct QuantLayerPlan {
-    layer: LayerId,
-    units: usize,
-    unit_len: usize,
-    /// Live weight indices at this level, ascending.
-    indices: Vec<u32>,
-}
-
-/// Rounding plans for every layer quantized at one int8 rung.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct QuantPlan {
-    layers: Vec<QuantLayerPlan>,
-    entries: usize,
-}
-
-/// The weights one level's attach-time fine-tune retuned in one layer:
-/// ascending element indices plus the tuned values to scatter when the
-/// level is (re-)entered. Derived deterministically at attach time, so
-/// crash recovery reproduces the identical plan by replaying the same
-/// training.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct FineTuneLayerPlan {
+struct HopLayer {
     layer: LayerId,
     indices: Vec<u32>,
-    tuned: Vec<f32>,
+    rule: Rule,
 }
 
-/// All layers retuned by one level's attach-time fine-tune.
+impl HopLayer {
+    /// Writes the hop's values into `data`, handing each position's
+    /// parent value to `capture` just before overwriting it.
+    fn write(&self, data: &mut [f32], mut capture: impl FnMut(f32)) {
+        match &self.rule {
+            Rule::Zero => {
+                for &i in &self.indices {
+                    let w = &mut data[i as usize];
+                    capture(*w);
+                    *w = 0.0;
+                }
+            }
+            Rule::Tuned(values) => {
+                for (&i, &v) in self.indices.iter().zip(values) {
+                    let w = &mut data[i as usize];
+                    capture(*w);
+                    *w = v;
+                }
+            }
+            Rule::Int8 { unit_len } => {
+                let unit_len = *unit_len;
+                let row_of = |i: u32| i as usize / unit_len;
+                for row in self.indices.chunk_by(|&a, &b| row_of(a) == row_of(b)) {
+                    let start = row_of(row[0]) * unit_len;
+                    let scale = qgemm::quant_scale(&data[start..start + unit_len]);
+                    for &i in row {
+                        let w = &mut data[i as usize];
+                        capture(*w);
+                        *w = qgemm::round_through_i8(*w, scale);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One ladder step as a transform of its parent's weights, built at
+/// attach: the positions it writes in each layer and the rule for their
+/// new values. Pushing a hop captures the parent bits of every position
+/// into a segment while writing, so popping that segment restores the
+/// parent bit-exactly. A new ladder axis is a new [`Rule`], not a new
+/// push, pop or install path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct FineTunePlan {
-    layers: Vec<FineTuneLayerPlan>,
+struct Hop {
+    /// The level the hop belongs to: its segments' `to_level`.
+    level: usize,
+    /// Its segments' tag.
+    kind: DeltaKind,
+    layers: Vec<HopLayer>,
+    /// Positions written, over all layers.
     entries: usize,
 }
 
-/// Rounds one layer plan's live positions through the int8 grid in
-/// place, invoking `capture` with each position's value *before*
-/// rounding. Scales are per unit (GEMM row) and computed over the full
-/// row — pruned zeros included, matching what the quantized executor
-/// derives at inference time — so rung entry and every crash-recovery
-/// replay round identically.
-fn quantize_plan_layer(data: &mut [f32], lp: &QuantLayerPlan, mut capture: impl FnMut(f32)) {
-    let mut next = 0usize;
-    for u in 0..lp.units {
-        let row_start = u * lp.unit_len;
-        let row_end = row_start + lp.unit_len;
-        let start = next;
-        while next < lp.indices.len() && (lp.indices[next] as usize) < row_end {
-            next += 1;
+impl Hop {
+    fn new(level: usize, kind: DeltaKind, layers: Vec<HopLayer>) -> Self {
+        let entries = layers.iter().map(|l| l.indices.len()).sum();
+        Hop {
+            level,
+            kind,
+            layers,
+            entries,
         }
-        if start == next {
-            continue;
-        }
-        let scale = qgemm::quant_scale(&data[row_start..row_end]);
-        for &i in &lp.indices[start..next] {
-            let w = &mut data[i as usize];
-            capture(*w);
-            *w = qgemm::round_through_i8(*w, scale);
-        }
+    }
+
+    /// Whether `seg` lists exactly this hop's positions, layer by layer.
+    fn same_positions(&self, seg: &LevelDelta) -> bool {
+        seg.spans.len() == self.layers.len()
+            && seg
+                .spans
+                .iter()
+                .zip(&self.layers)
+                .all(|(s, l)| s.layer == l.layer && seg.indices[s.start..s.end] == l.indices[..])
+    }
+}
+
+/// Where a hop lives: at a position of the canonical walk, or as a
+/// level's int8 rung.
+#[derive(Debug, Clone, Copy)]
+enum HopAt {
+    Walk(usize),
+    Rung(usize),
+}
+
+/// Reversal-log entries between two parked ladder levels, split by hop
+/// kind (see [`ReversiblePruner::hop_entries`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HopEntries {
+    /// Weights the eviction hops zero.
+    pub evict: usize,
+    /// Weights the tune hops retune.
+    pub tune: usize,
+    /// Weights the upper level's int8 rung hop rounds (0 for f32
+    /// levels).
+    pub rung: usize,
+}
+
+impl HopEntries {
+    /// Entries of the canonical-walk hops: evictions plus tunes, without
+    /// the rung.
+    pub fn walk(&self) -> usize {
+        self.evict + self.tune
     }
 }
 
@@ -737,18 +796,20 @@ fn quantize_plan_layer(data: &mut [f32], lp: &QuantLayerPlan, mut capture: impl 
 pub struct ReversiblePruner {
     ladder: SparsityLadder,
     log: Vec<LevelDelta>,
-    current: usize,
     base_checksum: u64,
     precision: LogPrecision,
     verify_on_pop: bool,
     scrub_cursor: usize,
     shadow: Option<Vec<LevelDelta>>,
     stats: IntegrityStats,
-    plans: Vec<TransitionPlan>,
-    #[serde(default)]
-    quant_plans: Vec<Option<QuantPlan>>,
-    #[serde(default)]
-    ft_plans: Vec<Option<FineTunePlan>>,
+    /// The canonical walk up the ladder: level 1's eviction hop, then its
+    /// tune hop if it has one, then level 2's eviction hop, and so on.
+    /// Beneath any rung segment, the log holds the segments of a prefix
+    /// of this walk that ends on a level boundary.
+    walk: Vec<Hop>,
+    /// Each level's int8 rung hop (`None` for f32 levels). A rung segment
+    /// sits alone on top of the log and belongs to the current level.
+    rungs: Vec<Option<Hop>>,
     pool: Vec<LevelDelta>,
     shadow_pool: Vec<LevelDelta>,
     alloc_events: usize,
@@ -760,119 +821,62 @@ impl ReversiblePruner {
     ///
     /// # Errors
     ///
-    /// Returns [`PruneError::MaskMismatch`] if any ladder mask disagrees
-    /// with the network's weight shapes.
+    /// Returns [`PruneError::BadLadder`] for a ladder carrying a
+    /// fine-tune spec and [`PruneError::MaskMismatch`] if any ladder mask
+    /// disagrees with the network's weight shapes.
     pub fn attach(net: &Network, ladder: SparsityLadder) -> Result<Self> {
         if ladder.has_fine_tune() {
             return Err(PruneError::bad_ladder(
                 "ladder carries a fine-tune spec; attach it with ReversiblePruner::attach_fine_tuned",
             ));
         }
-        Self::attach_inner(net, ladder)
-    }
-
-    fn attach_inner(net: &Network, ladder: SparsityLadder) -> Result<Self> {
-        for level in ladder.levels() {
-            level.masks.validate_against(net)?;
-        }
-        ladder.verify_nesting()?;
-        let plans = Self::build_plans(&ladder)?;
-        let quant_plans = Self::build_quant_plans(net, &ladder)?;
-        Ok(ReversiblePruner {
-            ladder,
-            log: Vec::new(),
-            current: 0,
-            base_checksum: weights_checksum(net),
-            precision: LogPrecision::Exact,
-            verify_on_pop: true,
-            scrub_cursor: 0,
-            shadow: None,
-            stats: IntegrityStats::default(),
-            plans,
-            quant_plans,
-            ft_plans: Vec::new(),
-            pool: Vec::new(),
-            shadow_pool: Vec::new(),
-            alloc_events: 0,
-        })
+        Self::attach_core(net, ladder, LogPrecision::Exact)
     }
 
     /// Attaches with a binary16 ([`LogPrecision::Half`]) reversal log.
     ///
-    /// Every weight coverable by the ladder's top level is rounded through
-    /// f16 **in place, once, now** — so all later restores are bit-exact
-    /// against this quantized baseline while the log stores only 6 bytes
-    /// per entry. The accuracy cost of the quantization is incurred here
-    /// and is measurable before deployment.
+    /// Every weight a hop can capture (evicted or int8-rounded) is
+    /// rounded through f16 **in place, once, now** — so all later
+    /// restores are bit-exact against this quantized baseline while the
+    /// log stores only 6 bytes per entry. The accuracy cost of the
+    /// quantization is incurred here and is measurable before
+    /// deployment.
     ///
     /// # Errors
     ///
-    /// Returns [`PruneError::MaskMismatch`] if any ladder mask disagrees
-    /// with the network's weight shapes.
+    /// As [`ReversiblePruner::attach`].
     pub fn attach_half(net: &mut Network, ladder: SparsityLadder) -> Result<Self> {
         if ladder.has_fine_tune() {
             return Err(PruneError::bad_ladder(
                 "fine-tuned ladders need a full-precision log; use ReversiblePruner::attach_fine_tuned",
             ));
         }
-        for level in ladder.levels() {
-            level.masks.validate_against(net)?;
-        }
-        ladder.verify_nesting()?;
-        let top = ladder.num_levels() - 1;
-        for mask in ladder.level(top)?.masks.iter() {
-            let w = net.weight_mut(mask.layer)?;
-            let data = w.data_mut();
-            for i in mask.pruned_indices() {
-                data[i] = round_through_f16(data[i]);
-            }
-        }
-        let plans = Self::build_plans(&ladder)?;
-        let quant_plans = Self::build_quant_plans(net, &ladder)?;
-        // Precision segments must be exactly representable in the log's
-        // value width too, so the weights an int8 rung will capture are
-        // rounded through f16 here as well — they are "log-coverable"
-        // exactly like the evictable set above.
-        for plan in quant_plans.iter().flatten() {
-            for lp in &plan.layers {
-                let data = net.weight_mut(lp.layer)?.data_mut();
-                for &i in &lp.indices {
+        let mut pruner = Self::attach_core(net, ladder, LogPrecision::Half)?;
+        for hop in pruner.walk.iter().chain(pruner.rungs.iter().flatten()) {
+            for l in &hop.layers {
+                let data = net.weight_mut(l.layer)?.data_mut();
+                for &i in &l.indices {
                     data[i as usize] = round_through_f16(data[i as usize]);
                 }
             }
         }
-        Ok(ReversiblePruner {
-            ladder,
-            log: Vec::new(),
-            current: 0,
-            base_checksum: weights_checksum(net),
-            precision: LogPrecision::Half,
-            verify_on_pop: true,
-            scrub_cursor: 0,
-            shadow: None,
-            stats: IntegrityStats::default(),
-            plans,
-            quant_plans,
-            ft_plans: Vec::new(),
-            pool: Vec::new(),
-            shadow_pool: Vec::new(),
-            alloc_events: 0,
-        })
+        pruner.base_checksum = weights_checksum(net);
+        Ok(pruner)
     }
 
     /// Attaches a pruner whose ladder carries a [`crate::FineTuneSpec`],
     /// briefly fine-tuning the live (masked) network at each level and
-    /// recording the retuned weights as per-level plans. Each level is
-    /// tuned *incrementally* from its parent level's tuned state, and its
-    /// [`DeltaKind::FineTune`] reversal-log segment stores the parent's
-    /// values — so popping one rolls the level back to its parent
-    /// bit-exactly, with no retraining on the critical path.
+    /// recording the retuned weights as that level's tune hop. Each level
+    /// is tuned *incrementally* from its parent level's tuned state, and
+    /// its tune segment stores the parent's values — so popping one rolls
+    /// the level back to its parent bit-exactly, with no retraining on
+    /// the critical path.
     ///
     /// The network is returned at level 0 with its original weights
     /// restored bit-exactly (verified against the attach checksum);
-    /// only the pruner's fine-tune plans remember the tuned optima.
+    /// only the pruner's tune hops remember the tuned optima.
     /// The whole procedure is deterministic: replaying it on the same
-    /// network and samples reproduces byte-identical plans and segments,
+    /// network and samples reproduces byte-identical hops and segments,
     /// which is what lets crash recovery rebuild fine-tuned rungs.
     ///
     /// # Errors
@@ -888,12 +892,11 @@ impl ReversiblePruner {
         let spec = *ladder.fine_tune().ok_or_else(|| {
             PruneError::bad_ladder("attach_fine_tuned requires a ladder with a fine-tune spec")
         })?;
-        let mut pruner = Self::attach_inner(net, ladder)?;
-        pruner.ft_plans = vec![None; pruner.ladder.num_levels()];
+        let mut pruner = Self::attach_core(net, ladder, LogPrecision::Exact)?;
         for level in 1..pruner.ladder.num_levels() {
             // Evict this level's rows first: training sees the masked
             // network, starting from the parent level's tuned state.
-            pruner.push_one_level(net)?;
+            pruner.push(net, HopAt::Walk(pruner.log.len()))?;
             let parent: Vec<(LayerId, Vec<f32>)> = {
                 let mut snap = Vec::new();
                 for meta in net.prunable_layers() {
@@ -905,7 +908,6 @@ impl ReversiblePruner {
             let seed = spec.seed ^ (level as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             train::fine_tune_frozen(net, samples, spec.steps, spec.lr, seed, &freeze)?;
             let mut layers = Vec::new();
-            let mut entries = 0usize;
             for (id, before) in &parent {
                 let after = net.weight(*id)?.data();
                 let mut indices = Vec::new();
@@ -916,25 +918,26 @@ impl ReversiblePruner {
                         tuned.push(a);
                     }
                 }
-                if indices.is_empty() {
-                    continue;
+                if !indices.is_empty() {
+                    layers.push(HopLayer {
+                        layer: *id,
+                        indices,
+                        rule: Rule::Tuned(tuned),
+                    });
                 }
-                entries += indices.len();
-                layers.push(FineTuneLayerPlan {
-                    layer: *id,
-                    indices,
-                    tuned,
-                });
             }
             // Roll the weights back to the parent state, then push the
-            // fine-tune segment through the same path runtime walks use:
-            // it captures the parent values and scatters the tuned ones.
+            // tune hop like any other: it captures the parent values
+            // while writing the tuned ones.
             for (id, before) in &parent {
                 net.weight_mut(*id)?.data_mut().copy_from_slice(before);
             }
-            pruner.ft_plans[level] = (entries > 0).then_some(FineTunePlan { layers, entries });
-            if pruner.ft_plans[level].is_some() {
-                pruner.push_fine_tune_segment(net)?;
+            if !layers.is_empty() {
+                let at = pruner.log.len();
+                pruner
+                    .walk
+                    .insert(at, Hop::new(level, DeltaKind::FineTune, layers));
+                pruner.push(net, HopAt::Walk(at))?;
             }
         }
         pruner.set_level(net, 0)?;
@@ -942,70 +945,94 @@ impl ReversiblePruner {
         Ok(pruner)
     }
 
-    /// Precomputes the per-transition eviction index sets from the
-    /// nested masks (one plan per upward step `k -> k+1`).
-    fn build_plans(ladder: &SparsityLadder) -> Result<Vec<TransitionPlan>> {
-        let mut plans = Vec::with_capacity(ladder.num_levels().saturating_sub(1));
-        for k in 0..ladder.num_levels().saturating_sub(1) {
-            let cur_masks = &ladder.level(k)?.masks;
-            let next_masks = &ladder.level(k + 1)?.masks;
-            let mut layers = Vec::new();
-            let mut entries = 0usize;
-            for next_mask in next_masks.iter() {
-                let id = next_mask.layer;
-                let newly: Vec<usize> = match cur_masks.get(id) {
-                    Some(cur) => cur.newly_pruned_in(next_mask)?,
-                    None => next_mask.pruned_indices().collect(),
-                };
-                if newly.is_empty() {
-                    continue;
-                }
-                entries += newly.len();
-                layers.push((id, newly.into_iter().map(|i| i as u32).collect()));
-            }
-            plans.push(TransitionPlan { layers, entries });
+    /// The attach every constructor shares: validates the ladder against
+    /// the network, builds its eviction and rung hops, and seals the
+    /// network's current weights as the level-0 baseline.
+    fn attach_core(net: &Network, ladder: SparsityLadder, precision: LogPrecision) -> Result<Self> {
+        for level in ladder.levels() {
+            level.masks.validate_against(net)?;
         }
-        Ok(plans)
+        ladder.verify_nesting()?;
+        let walk = Self::eviction_hops(&ladder)?;
+        let rungs = Self::rung_hops(net, &ladder)?;
+        Ok(ReversiblePruner {
+            ladder,
+            log: Vec::new(),
+            base_checksum: weights_checksum(net),
+            precision,
+            verify_on_pop: true,
+            scrub_cursor: 0,
+            shadow: None,
+            stats: IntegrityStats::default(),
+            walk,
+            rungs,
+            pool: Vec::new(),
+            shadow_pool: Vec::new(),
+            alloc_events: 0,
+        })
     }
 
-    /// Precomputes, for every [`PrecisionMode::Int8`] ladder level, the
-    /// live weight positions of each mask-covered layer — the positions
-    /// rounded through the int8 grid on rung entry. F32 levels get
-    /// `None`, so an all-f32 ladder carries no quantization state at all.
-    fn build_quant_plans(net: &Network, ladder: &SparsityLadder) -> Result<Vec<Option<QuantPlan>>> {
+    /// One eviction hop per level above 0, precomputed from the nested
+    /// masks so a push never re-derives set differences: the positions
+    /// level `k` prunes that level `k - 1` keeps.
+    fn eviction_hops(ladder: &SparsityLadder) -> Result<Vec<Hop>> {
+        let mut hops = Vec::with_capacity(ladder.num_levels().saturating_sub(1));
+        for k in 1..ladder.num_levels() {
+            let parent = &ladder.level(k - 1)?.masks;
+            let mut layers = Vec::new();
+            for mask in ladder.level(k)?.masks.iter() {
+                let newly: Vec<usize> = match parent.get(mask.layer) {
+                    Some(p) => p.newly_pruned_in(mask)?,
+                    None => mask.pruned_indices().collect(),
+                };
+                if !newly.is_empty() {
+                    layers.push(HopLayer {
+                        layer: mask.layer,
+                        indices: newly.into_iter().map(|i| i as u32).collect(),
+                        rule: Rule::Zero,
+                    });
+                }
+            }
+            hops.push(Hop::new(k, DeltaKind::Evict, layers));
+        }
+        Ok(hops)
+    }
+
+    /// Each [`PrecisionMode::Int8`] level's rung hop: the live positions
+    /// of every mask-covered layer, rounded through their row's int8
+    /// grid. F32 levels get `None`, so an all-f32 ladder carries no
+    /// quantization state at all.
+    fn rung_hops(net: &Network, ladder: &SparsityLadder) -> Result<Vec<Option<Hop>>> {
         let metas = net.prunable_layers();
-        let mut plans = Vec::with_capacity(ladder.num_levels());
+        let mut rungs = Vec::with_capacity(ladder.num_levels());
         for k in 0..ladder.num_levels() {
-            if ladder.precision_at(k)? != PrecisionMode::Int8 {
-                plans.push(None);
+            let level = ladder.level(k)?;
+            if level.precision != PrecisionMode::Int8 {
+                rungs.push(None);
                 continue;
             }
-            let masks = &ladder.level(k)?.masks;
             let mut layers = Vec::new();
-            let mut entries = 0usize;
             for meta in &metas {
-                let Some(mask) = masks.get(meta.id) else {
+                let Some(mask) = level.masks.get(meta.id) else {
                     continue;
                 };
-                let len = meta.units * meta.unit_len;
-                let indices: Vec<u32> = (0..len)
+                let indices: Vec<u32> = (0..meta.units * meta.unit_len)
                     .filter(|&i| !mask.is_pruned(i))
                     .map(|i| i as u32)
                     .collect();
-                if indices.is_empty() {
-                    continue;
+                if !indices.is_empty() {
+                    layers.push(HopLayer {
+                        layer: meta.id,
+                        indices,
+                        rule: Rule::Int8 {
+                            unit_len: meta.unit_len,
+                        },
+                    });
                 }
-                entries += indices.len();
-                layers.push(QuantLayerPlan {
-                    layer: meta.id,
-                    units: meta.units,
-                    unit_len: meta.unit_len,
-                    indices,
-                });
             }
-            plans.push((entries > 0).then_some(QuantPlan { layers, entries }));
+            rungs.push((!layers.is_empty()).then(|| Hop::new(k, DeltaKind::Precision, layers)));
         }
-        Ok(plans)
+        Ok(rungs)
     }
 
     /// The log's value precision.
@@ -1018,15 +1045,16 @@ impl ReversiblePruner {
         &self.ladder
     }
 
-    /// Current ladder level (0 = full capacity).
+    /// Current ladder level (0 = full capacity): the level of the
+    /// segment on top of the log.
     pub fn current_level(&self) -> usize {
-        self.current
+        self.log.last().map_or(0, |d| d.to_level)
     }
 
     /// Nominal sparsity of the current level.
     pub fn current_sparsity(&self) -> f64 {
         self.ladder
-            .sparsity_at(self.current)
+            .sparsity_at(self.current_level())
             .expect("current level always valid")
     }
 
@@ -1040,59 +1068,64 @@ impl ReversiblePruner {
         self.log.iter().map(LevelDelta::len).sum()
     }
 
-    /// Worst-case log size in bytes, over all parking levels: the
-    /// cumulative evictions to reach a level, plus every fine-tune
-    /// segment pushed on the way, plus that level's precision segment
-    /// when it is an int8 rung. For an all-f32, untuned ladder this is
-    /// exactly the top-level eviction log, as before.
+    /// Worst-case log size in bytes, over all parking levels: every hop
+    /// on the walk up to a level plus that level's rung hop. For an
+    /// all-f32, untuned ladder this is exactly the top-level eviction
+    /// log.
     ///
     /// This is the number the memory-overhead experiment reports; it is
     /// proportional to the pruned (plus quantized, plus retuned)
     /// fraction, unlike a full snapshot.
     pub fn max_log_bytes(&self) -> usize {
         let entry = self.precision.entry_bytes();
-        let mut max = 0usize;
-        for k in 0..self.ladder.num_levels() {
-            let Ok(level) = self.ladder.level(k) else {
-                continue;
-            };
-            let entries = level.masks.pruned_count()
-                + self.precision_entries_at(k)
-                + self.fine_tune_entries_to(k);
-            max = max.max(entries * entry);
+        (0..self.ladder.num_levels())
+            .map(|k| {
+                let e = self.hop_entries(0, k);
+                (e.walk() + e.rung) * entry
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Log entries separating parking at level `low` from parking at
+    /// level `high`: the eviction and tune hops of levels
+    /// `low + 1..=high`, plus `high`'s int8 rung hop. The one entry count
+    /// behind log sizing, restore pricing and the planners'
+    /// standing-entry budgets.
+    pub fn hop_entries(&self, low: usize, high: usize) -> HopEntries {
+        let mut e = HopEntries {
+            rung: self
+                .rungs
+                .get(high)
+                .and_then(Option::as_ref)
+                .map_or(0, |h| h.entries),
+            ..HopEntries::default()
+        };
+        for hop in self
+            .walk
+            .iter()
+            .filter(|h| h.level > low && h.level <= high)
+        {
+            if hop.kind == DeltaKind::FineTune {
+                e.tune += hop.entries;
+            } else {
+                e.evict += hop.entries;
+            }
         }
-        max
+        e
     }
 
-    /// Weight entries the precision segment at `level` records (0 for
-    /// f32 levels), letting planners account an int8 rung's log cost.
-    pub fn precision_entries_at(&self, level: usize) -> usize {
-        self.quant_plans
-            .get(level)
-            .and_then(Option::as_ref)
-            .map_or(0, |p| p.entries)
-    }
-
-    /// Weight entries the fine-tune segment at `level` records (0 for
-    /// untuned levels or pruners attached without fine-tuning).
-    pub fn fine_tune_entries_at(&self, level: usize) -> usize {
-        self.ft_plans
-            .get(level)
-            .and_then(Option::as_ref)
-            .map_or(0, |p| p.entries)
-    }
-
-    /// Cumulative fine-tune entries on the log when parked at `level`:
-    /// one segment per fine-tuned level on the walk up.
-    pub fn fine_tune_entries_to(&self, level: usize) -> usize {
-        (1..=level).map(|k| self.fine_tune_entries_at(k)).sum()
-    }
-
-    /// Whether this pruner was attached with
-    /// [`ReversiblePruner::attach_fine_tuned`] and recorded at least one
-    /// per-level fine-tune plan.
-    pub fn has_fine_tune_plans(&self) -> bool {
-        self.ft_plans.iter().any(Option::is_some)
+    /// Whether leaving the current level would first pop an int8 rung
+    /// segment that fails its checksum: the one case where pruning deeper
+    /// through [`ReversiblePruner::set_level`] would stop with
+    /// [`PruneError::LogCorruption`] before evicting anything. Always
+    /// `false` with verify-on-pop off.
+    pub fn rung_pop_fails(&self) -> bool {
+        self.verify_on_pop
+            && self
+                .log
+                .last()
+                .is_some_and(|d| d.kind == DeltaKind::Precision && !d.verify())
     }
 
     /// Buffer (re)allocations performed by the segment pools since
@@ -1107,17 +1140,18 @@ impl ReversiblePruner {
     /// Moves the network to ladder level `target`, pruning or restoring
     /// as needed, and returns what the transition touched.
     ///
-    /// When the target level is an int8 rung, the walk additionally
-    /// captures the originals of every live quantized weight into a
-    /// precision segment and rounds those weights through the int8 grid
-    /// (counted in `weights_pruned`); when *leaving* a rung, the
-    /// precision segment is popped first — restoring full precision in
-    /// place (counted in `weights_restored`) — before any capacity step.
+    /// The walk pops the current level's rung segment, if any, before
+    /// any capacity step — restoring full precision in place (counted in
+    /// `weights_restored`) — then pushes or pops whole levels (each
+    /// level's eviction hop plus its tune hop, if it has one), and
+    /// finally pushes the target level's rung hop when the target is an
+    /// int8 rung (counted in `weights_pruned`).
     ///
     /// # Errors
     ///
-    /// Returns [`PruneError::UnknownLevel`] for an out-of-range target and
-    /// propagates layer-access errors.
+    /// Returns [`PruneError::UnknownLevel`] for an out-of-range target,
+    /// [`PruneError::LogCorruption`] when a popped segment fails its
+    /// checksum, and propagates layer-access errors.
     pub fn set_level(&mut self, net: &mut Network, target: usize) -> Result<Transition> {
         if target >= self.ladder.num_levels() {
             return Err(PruneError::UnknownLevel {
@@ -1125,33 +1159,53 @@ impl ReversiblePruner {
                 available: self.ladder.num_levels(),
             });
         }
-        let from = self.current;
+        let from = self.current_level();
         let mut pruned = 0usize;
         let mut restored = 0usize;
         if target != from {
-            // A precision segment belongs to the level that pushed it and
-            // always sits on top of the log: restore full precision before
-            // any capacity walk, so eviction pops never tunnel under it.
             if self
                 .log
                 .last()
                 .is_some_and(|d| d.kind == DeltaKind::Precision)
             {
-                restored += self.pop_aux_segment(net)?;
+                restored += self.pop(net)?;
             }
-            while self.current < target {
-                pruned += self.push_one_level(net)?;
+            while self
+                .walk
+                .get(self.log.len())
+                .is_some_and(|h| h.level <= target)
+            {
+                pruned += self.push(net, HopAt::Walk(self.log.len()))?;
             }
-            while self.current > target {
-                restored += self.pop_one_level(net)?;
+            while self.current_level() > target {
+                // Pop the whole level: its tune segment, if any, then its
+                // eviction segment. The segments beneath the top are
+                // verified first, so a corrupt one is reported with the
+                // level's segments all still on the log.
+                let level = self.current_level();
+                let first = self
+                    .log
+                    .iter()
+                    .rposition(|d| d.to_level != level)
+                    .map_or(0, |i| i + 1);
+                if self.verify_on_pop {
+                    if let Some(bad) = (first..self.log.len() - 1).find(|&s| !self.log[s].verify())
+                    {
+                        self.stats.corruption_hits += 1;
+                        return Err(self.log[bad].corruption(bad));
+                    }
+                }
+                while self.log.len() > first {
+                    restored += self.pop(net)?;
+                }
             }
-            if self.quant_plans.get(target).is_some_and(Option::is_some) {
-                pruned += self.push_precision_segment(net)?;
+            if self.rungs[target].is_some() {
+                pruned += self.push(net, HopAt::Rung(target))?;
             }
         }
         Ok(Transition {
             from,
-            to: self.current,
+            to: self.current_level(),
             weights_pruned: pruned,
             weights_restored: restored,
         })
@@ -1166,37 +1220,27 @@ impl ReversiblePruner {
         self.set_level(net, 0)
     }
 
-    fn push_one_level(&mut self, net: &mut Network) -> Result<usize> {
-        let next = self.current + 1;
-        let plan = &self.plans[self.current];
+    /// Applies a hop to the live weights, capturing the parent bits of
+    /// every position it writes into a pooled segment pushed on top of
+    /// the log (and mirrored into the shadow, if on).
+    fn push(&mut self, net: &mut Network, at: HopAt) -> Result<usize> {
         let mut seg = self
             .pool
             .pop()
             .unwrap_or_else(|| LevelDelta::with_precision(self.precision));
         let cap = seg.capacity_sig();
-        seg.reset(next);
-        for (id, idxs) in &plan.layers {
-            let data = net.weight_mut(*id)?.data_mut();
+        let hop = self.hop(at);
+        seg.reset(hop.level, hop.kind);
+        for l in &hop.layers {
+            let data = net.weight_mut(l.layer)?.data_mut();
             let start = seg.indices.len();
-            seg.indices.extend_from_slice(idxs);
+            seg.indices.extend_from_slice(&l.indices);
             match &mut seg.values {
-                DeltaValues::Exact(vs) => {
-                    for &i in idxs {
-                        let w = &mut data[i as usize];
-                        vs.push(*w);
-                        *w = 0.0;
-                    }
-                }
-                DeltaValues::Half(vs) => {
-                    for &i in idxs {
-                        let w = &mut data[i as usize];
-                        vs.push(f32_to_f16_bits(*w));
-                        *w = 0.0;
-                    }
-                }
+                DeltaValues::Exact(vs) => l.write(data, |w| vs.push(w)),
+                DeltaValues::Half(vs) => l.write(data, |w| vs.push(f32_to_f16_bits(w))),
             }
             seg.spans.push(LayerSpan {
-                layer: *id,
+                layer: l.layer,
                 start,
                 end: seg.indices.len(),
             });
@@ -1205,7 +1249,7 @@ impl ReversiblePruner {
         if seg.capacity_sig() != cap {
             self.alloc_events += 1;
         }
-        let mut count = seg.len();
+        let count = seg.len();
         if let Some(shadow) = &mut self.shadow {
             let mut sh = self
                 .shadow_pool
@@ -1219,62 +1263,21 @@ impl ReversiblePruner {
             shadow.push(sh);
         }
         self.log.push(seg);
-        self.current = next;
-        if self.ft_plans.get(next).is_some_and(Option::is_some) {
-            count += self.push_fine_tune_segment(net)?;
-        }
         Ok(count)
     }
 
-    fn pop_one_level(&mut self, net: &mut Network) -> Result<usize> {
-        let mut count = 0usize;
-        if self
-            .log
-            .last()
-            .is_some_and(|d| d.kind == DeltaKind::FineTune)
-        {
-            // Pre-verify the eviction segment underneath before popping
-            // the fine-tune segment, so a corrupt eviction record is
-            // reported with the log fully intact (no partial pop).
-            let below = self.log.len().checked_sub(2).ok_or_else(|| {
-                PruneError::mask_mismatch("fine-tune segment with no eviction segment beneath it")
-            })?;
-            if self.verify_on_pop && !self.log[below].verify() {
-                self.stats.corruption_hits += 1;
-                let d = &self.log[below];
-                return Err(PruneError::LogCorruption {
-                    segment: below,
-                    to_level: d.to_level,
-                    expected: d.checksum,
-                    actual: d.computed_checksum(),
-                });
-            }
-            count += self.pop_aux_segment(net)?;
-        }
-        let segment = self.log.len().checked_sub(1).ok_or_else(|| {
-            PruneError::mask_mismatch("reversal log empty while above level 0")
-        })?;
-        debug_assert_eq!(
-            self.log[segment].kind,
-            DeltaKind::Evict,
-            "precision segments are popped before any capacity walk"
-        );
+    /// Pops the top segment and writes its parent bits back. With
+    /// verify-on-pop on, a segment failing its checksum is left on the
+    /// log, untouched: the caller decides whether to repair it or
+    /// escalate to a coarser restore path.
+    fn pop(&mut self, net: &mut Network) -> Result<usize> {
+        let segment = self.log.len() - 1;
         if self.verify_on_pop {
-            if self.log[segment].verify() {
-                self.stats.pops_verified += 1;
-            } else {
-                // Leave the log and level untouched: the caller decides
-                // whether to repair the segment or escalate to a coarser
-                // restore path.
+            if !self.log[segment].verify() {
                 self.stats.corruption_hits += 1;
-                let d = &self.log[segment];
-                return Err(PruneError::LogCorruption {
-                    segment,
-                    to_level: d.to_level,
-                    expected: d.checksum,
-                    actual: d.computed_checksum(),
-                });
+                return Err(self.log[segment].corruption(segment));
             }
+            self.stats.pops_verified += 1;
         }
         let delta = self.log.pop().expect("segment index checked above");
         if let Some(shadow) = &mut self.shadow {
@@ -1282,151 +1285,10 @@ impl ReversiblePruner {
                 self.shadow_pool.push(sh);
             }
         }
-        count += delta.len();
-        Self::apply_segment(&delta, net)?;
-        self.current -= 1;
-        // The pop mirrors the push order, so LIFO reuse hands each
-        // future push a buffer already sized for its level.
-        self.pool.push(delta);
-        Ok(count)
-    }
-
-    /// Enters the current level's int8 rung: captures the full-precision
-    /// originals of every live quantized-layer weight into a
-    /// [`DeltaKind::Precision`] segment, then rounds those weights
-    /// through the int8 grid in place. The segment restores by plain
-    /// assignment, so popping it is byte-exact for every f32 bit pattern
-    /// (±0.0, NaN payloads, extreme magnitudes included).
-    fn push_precision_segment(&mut self, net: &mut Network) -> Result<usize> {
-        let plan = self.quant_plans[self.current]
-            .as_ref()
-            .expect("caller checked the level has a quant plan");
-        let mut seg = self
-            .pool
-            .pop()
-            .unwrap_or_else(|| LevelDelta::with_precision(self.precision));
-        let cap = seg.capacity_sig();
-        seg.reset(self.current);
-        seg.kind = DeltaKind::Precision;
-        for lp in &plan.layers {
-            let data = net.weight_mut(lp.layer)?.data_mut();
-            let start = seg.indices.len();
-            seg.indices.extend_from_slice(&lp.indices);
-            let values = &mut seg.values;
-            quantize_plan_layer(data, lp, |w| values.push(w));
-            seg.spans.push(LayerSpan {
-                layer: lp.layer,
-                start,
-                end: seg.indices.len(),
-            });
-        }
-        seg.seal();
-        if seg.capacity_sig() != cap {
-            self.alloc_events += 1;
-        }
-        let count = seg.len();
-        if let Some(shadow) = &mut self.shadow {
-            let mut sh = self
-                .shadow_pool
-                .pop()
-                .unwrap_or_else(|| LevelDelta::with_precision(self.precision));
-            let sh_cap = sh.capacity_sig();
-            sh.copy_from(&seg);
-            if sh.capacity_sig() != sh_cap {
-                self.alloc_events += 1;
-            }
-            shadow.push(sh);
-        }
-        self.log.push(seg);
-        Ok(count)
-    }
-
-    /// Scatters the current level's fine-tuned weights into the live
-    /// network while capturing the values they replace (the parent
-    /// level's tuned state) into a [`DeltaKind::FineTune`] segment.
-    /// Popping the segment therefore rolls the level back to its parent
-    /// bit-exactly; the ladder level itself does not change.
-    fn push_fine_tune_segment(&mut self, net: &mut Network) -> Result<usize> {
-        let plan = self.ft_plans[self.current]
-            .as_ref()
-            .expect("caller checked the level has a fine-tune plan");
-        let mut seg = self
-            .pool
-            .pop()
-            .unwrap_or_else(|| LevelDelta::with_precision(self.precision));
-        let cap = seg.capacity_sig();
-        seg.reset(self.current);
-        seg.kind = DeltaKind::FineTune;
-        for lp in &plan.layers {
-            let data = net.weight_mut(lp.layer)?.data_mut();
-            let start = seg.indices.len();
-            seg.indices.extend_from_slice(&lp.indices);
-            for (&i, &tuned) in lp.indices.iter().zip(&lp.tuned) {
-                let w = &mut data[i as usize];
-                seg.values.push(*w);
-                *w = tuned;
-            }
-            seg.spans.push(LayerSpan {
-                layer: lp.layer,
-                start,
-                end: seg.indices.len(),
-            });
-        }
-        seg.seal();
-        if seg.capacity_sig() != cap {
-            self.alloc_events += 1;
-        }
-        let count = seg.len();
-        if let Some(shadow) = &mut self.shadow {
-            let mut sh = self
-                .shadow_pool
-                .pop()
-                .unwrap_or_else(|| LevelDelta::with_precision(self.precision));
-            let sh_cap = sh.capacity_sig();
-            sh.copy_from(&seg);
-            if sh.capacity_sig() != sh_cap {
-                self.alloc_events += 1;
-            }
-            shadow.push(sh);
-        }
-        self.log.push(seg);
-        Ok(count)
-    }
-
-    /// Pops a precision or fine-tune segment off the top of the log,
-    /// restoring the captured weights by assignment. The ladder level
-    /// does not change — these segments record a rounding or a retune,
-    /// not an eviction — and verification/pooling behave exactly as for
-    /// eviction pops.
-    fn pop_aux_segment(&mut self, net: &mut Network) -> Result<usize> {
-        let segment = self.log.len() - 1;
-        debug_assert_ne!(
-            self.log[segment].kind,
-            DeltaKind::Evict,
-            "eviction segments are popped by pop_one_level"
-        );
-        if self.verify_on_pop {
-            if self.log[segment].verify() {
-                self.stats.pops_verified += 1;
-            } else {
-                self.stats.corruption_hits += 1;
-                let d = &self.log[segment];
-                return Err(PruneError::LogCorruption {
-                    segment,
-                    to_level: d.to_level,
-                    expected: d.checksum,
-                    actual: d.computed_checksum(),
-                });
-            }
-        }
-        let delta = self.log.pop().expect("caller checked the top segment");
-        if let Some(shadow) = &mut self.shadow {
-            if let Some(sh) = shadow.pop() {
-                self.shadow_pool.push(sh);
-            }
-        }
         let count = delta.len();
         Self::apply_segment(&delta, net)?;
+        // The pop mirrors the push order, so LIFO reuse hands each
+        // future push a buffer already sized for its hop.
         self.pool.push(delta);
         Ok(count)
     }
@@ -1454,7 +1316,7 @@ impl ReversiblePruner {
     ///
     /// Propagates mask/layer errors.
     pub fn reapply_masks(&self, net: &mut Network) -> Result<()> {
-        self.ladder.level(self.current)?.masks.apply(net)
+        self.ladder.level(self.current_level())?.masks.apply(net)
     }
 
     /// Verifies that the network's prunable weights are bit-identical to
@@ -1465,11 +1327,11 @@ impl ReversiblePruner {
     /// Returns [`PruneError::IntegrityViolation`] on any difference, or
     /// [`PruneError::NotRestorable`] when called above level 0.
     pub fn verify_restored(&self, net: &Network) -> Result<()> {
-        if self.current != 0 {
+        if self.current_level() != 0 {
             return Err(PruneError::NotRestorable {
                 message: format!(
                     "verify_restored requires level 0, pruner is at level {}",
-                    self.current
+                    self.current_level()
                 ),
             });
         }
@@ -1493,7 +1355,7 @@ impl ReversiblePruner {
     /// rebasing a pruned network would bless zeroed weights as ground
     /// truth.
     pub fn rebase(&mut self, net: &Network) -> Result<()> {
-        if self.current != 0 {
+        if self.current_level() != 0 {
             return Err(PruneError::NotRestorable {
                 message: "rebase requires the network at full capacity (level 0)".into(),
             });
@@ -1514,11 +1376,6 @@ impl ReversiblePruner {
     /// Integrity-action counters accumulated since attach.
     pub fn integrity_stats(&self) -> IntegrityStats {
         self.stats
-    }
-
-    /// Whether pops verify segment checksums before applying deltas.
-    pub fn verifies_on_pop(&self) -> bool {
-        self.verify_on_pop
     }
 
     /// Enables or disables checksum verification on pop. Disabling
@@ -1558,12 +1415,7 @@ impl ReversiblePruner {
     pub fn scrub(&self) -> Result<usize> {
         for (segment, d) in self.log.iter().enumerate() {
             if !d.verify() {
-                return Err(PruneError::LogCorruption {
-                    segment,
-                    to_level: d.to_level,
-                    expected: d.checksum,
-                    actual: d.computed_checksum(),
-                });
+                return Err(d.corruption(segment));
             }
         }
         Ok(self.log.len())
@@ -1591,13 +1443,7 @@ impl ReversiblePruner {
             Ok(Some(segment))
         } else {
             self.stats.corruption_hits += 1;
-            let d = &self.log[segment];
-            Err(PruneError::LogCorruption {
-                segment,
-                to_level: d.to_level,
-                expected: d.checksum,
-                actual: d.computed_checksum(),
-            })
+            Err(self.log[segment].corruption(segment))
         }
     }
 
@@ -1625,12 +1471,7 @@ impl ReversiblePruner {
         let src = &shadow[segment];
         if !src.verify() {
             self.stats.corruption_hits += 1;
-            return Err(PruneError::LogCorruption {
-                segment,
-                to_level: src.to_level,
-                expected: src.checksum,
-                actual: src.computed_checksum(),
-            });
+            return Err(src.corruption(segment));
         }
         self.log[segment].copy_from(src);
         self.stats.repairs += 1;
@@ -1687,203 +1528,102 @@ impl ReversiblePruner {
         self.shadow.as_ref().and_then(|s| s.get(i))
     }
 
-    /// Rebuilds the reversal log from recovered spill segments: zeroes
-    /// each segment's masked weights in `net` (which must hold the
-    /// pristine full-capacity image) and pushes the segments as-is,
-    /// leaving the pruner parked at the deepest segment's level.
+    /// Rebuilds the reversal log from recovered spill segments: matches
+    /// each segment to the attach-time hop that pushed it, replays those
+    /// hops forward on `net` (which must hold the pristine full-capacity
+    /// image) without capturing anything, and pushes the segments
+    /// verbatim, leaving the pruner parked where the segments end.
     ///
-    /// The segments are installed verbatim — including their stored
-    /// checksums — so a segment that was corrupt at crash time is
-    /// corrupt again after recovery, exactly as the paper's defense
-    /// chain expects to find it.
+    /// Verbatim means checksums included, so a segment that was corrupt
+    /// at crash time is corrupt again after recovery, exactly as the
+    /// paper's defense chain expects to find it; weight patches the
+    /// recovery applies afterwards reproduce post-hop drift on top. The
+    /// tune hops of a fine-tuned ladder come from its attach-time
+    /// training, so recovery re-runs the deterministic
+    /// [`ReversiblePruner::attach_fine_tuned`] before calling this.
     ///
     /// # Errors
     ///
     /// Returns [`PruneError::NotRestorable`] unless called on a fresh
-    /// level-0 pruner with an empty log, and [`PruneError::SpillDecode`]
-    /// when the segments do not form the contiguous ladder walk
-    /// `1..=n` (each level optionally followed by its fine-tune segment,
-    /// plus at most one trailing precision segment belonging to the
-    /// deepest level's int8 rung) or index weights the network does not
-    /// have.
+    /// level-0 pruner with an empty log, [`PruneError::MaskMismatch`]
+    /// when `net` does not fit the ladder, and [`PruneError::SpillDecode`]
+    /// when the segments are not the canonical walk (for each level its
+    /// eviction hop, then its tune hop if it has one, stopping on a
+    /// level boundary, plus at most one rung hop of the level reached),
+    /// when a segment's positions differ from its hop's, or when they
+    /// index weights the network does not have.
     pub fn install_log(&mut self, net: &mut Network, segments: Vec<LevelDelta>) -> Result<()> {
-        if self.current != 0 || !self.log.is_empty() {
+        if !self.log.is_empty() {
             return Err(PruneError::NotRestorable {
                 message: "install_log requires a fresh pruner at level 0".into(),
             });
         }
-        // Validate the sequence as a ladder walk: evict(1) [ft(1)]
-        // evict(2) [ft(2)] ... with at most one trailing precision
-        // segment at the deepest level.
-        let mut level = 0usize;
-        let mut ft_seen = false;
+        self.ladder.level(0)?.masks.validate_against(net)?;
+        let mut hops = Vec::with_capacity(segments.len());
         for (k, seg) in segments.iter().enumerate() {
-            match seg.kind {
-                DeltaKind::Evict => {
-                    if seg.to_level != level + 1 {
-                        return Err(PruneError::spill_decode(format!(
-                            "segment {k} restores to level {}, expected {}",
-                            seg.to_level,
-                            level + 1
-                        )));
-                    }
-                    level += 1;
-                    ft_seen = false;
-                    if level >= self.ladder.num_levels() {
-                        return Err(PruneError::spill_decode(format!(
-                            "{level} eviction segments exceed the ladder's {} levels",
-                            self.ladder.num_levels()
-                        )));
-                    }
-                }
-                DeltaKind::FineTune => {
-                    if seg.to_level != level || level == 0 || ft_seen {
-                        return Err(PruneError::spill_decode(format!(
-                            "segment {k} is a misplaced fine-tune segment (restores level {}, walk is at level {level})",
-                            seg.to_level
-                        )));
-                    }
-                    ft_seen = true;
-                }
-                DeltaKind::Precision => {
-                    if k != segments.len() - 1 {
-                        return Err(PruneError::spill_decode(format!(
-                            "segment {k} is a precision segment below the top of the log"
-                        )));
-                    }
+            let tagged = |h: &&Hop| h.kind == seg.kind && h.level == seg.to_level;
+            let reached = k.checked_sub(1).map_or(0, |j| self.walk[j].level);
+            let at = if self.walk.get(k).filter(tagged).is_some() {
+                HopAt::Walk(k)
+            } else if k + 1 == segments.len()
+                && self.rungs[reached].as_ref().filter(tagged).is_some()
+            {
+                HopAt::Rung(reached)
+            } else {
+                return Err(PruneError::spill_decode(format!(
+                    "segment {k} ({:?} at level {}) is not the next hop of the ladder walk",
+                    seg.kind, seg.to_level
+                )));
+            };
+            let hop = self.hop(at);
+            if !hop.same_positions(seg) {
+                return Err(PruneError::spill_decode(format!(
+                    "segment {k} lists other positions than its {:?} hop at level {}",
+                    hop.kind, hop.level
+                )));
+            }
+            for l in &hop.layers {
+                let len = net.weight(l.layer)?.len();
+                if l.indices.last().is_some_and(|&i| i as usize >= len) {
+                    return Err(PruneError::spill_decode(format!(
+                        "segment {k} indexes past the {len} weights of layer {}",
+                        l.layer
+                    )));
                 }
             }
+            hops.push(at);
         }
-        for seg in segments {
-            if seg.kind == DeltaKind::Precision {
-                self.install_precision_segment(net, seg)?;
-                continue;
-            }
-            if seg.kind == DeltaKind::FineTune {
-                self.install_fine_tune_segment(net, seg)?;
-                continue;
-            }
-            for span in &seg.spans {
-                let data = net.weight_mut(span.layer)?.data_mut();
-                for &i in &seg.indices[span.start..span.end] {
-                    let slot = data.get_mut(i as usize).ok_or_else(|| {
-                        PruneError::spill_decode(format!(
-                            "index {i} out of range for layer {}",
-                            span.layer
-                        ))
-                    })?;
-                    *slot = 0.0;
-                }
+        let walked = segments.len() - usize::from(matches!(hops.last(), Some(HopAt::Rung(_))));
+        if walked > 0
+            && self
+                .walk
+                .get(walked)
+                .is_some_and(|h| h.level == self.walk[walked - 1].level)
+        {
+            return Err(PruneError::spill_decode(format!(
+                "the log stops inside level {}'s hops",
+                self.walk[walked].level
+            )));
+        }
+        for (seg, at) in segments.into_iter().zip(hops) {
+            for l in &self.hop(at).layers {
+                l.write(net.weight_mut(l.layer)?.data_mut(), |_| {});
             }
             if let Some(shadow) = &mut self.shadow {
                 shadow.push(seg.clone());
             }
-            self.current = seg.to_level;
             self.log.push(seg);
         }
         Ok(())
     }
 
-    /// Replays a recovered precision segment: re-rounds the rung's live
-    /// weights exactly as rung entry did, then installs the segment
-    /// verbatim (checksums included) rather than recapturing it, so a
-    /// segment that was corrupt at crash time is corrupt again after
-    /// recovery. Any weight patches the recovery applies afterwards
-    /// reproduce post-rounding drift on top, and a mirror rebuilt
-    /// through this same path re-rounds identically.
-    fn install_precision_segment(&mut self, net: &mut Network, seg: LevelDelta) -> Result<()> {
-        if seg.to_level != self.current {
-            return Err(PruneError::spill_decode(format!(
-                "precision segment restores level {}, but the log ends at level {}",
-                seg.to_level, self.current
-            )));
+    fn hop(&self, at: HopAt) -> &Hop {
+        match at {
+            HopAt::Walk(i) => &self.walk[i],
+            HopAt::Rung(level) => self.rungs[level]
+                .as_ref()
+                .expect("only int8 levels are addressed as rungs"),
         }
-        for span in &seg.spans {
-            let len = net.weight(span.layer)?.data().len();
-            if seg.indices[span.start..span.end]
-                .iter()
-                .any(|&i| i as usize >= len)
-            {
-                return Err(PruneError::spill_decode(format!(
-                    "precision segment index out of range for layer {}",
-                    span.layer
-                )));
-            }
-        }
-        let plan = self
-            .quant_plans
-            .get(seg.to_level)
-            .and_then(Option::as_ref)
-            .ok_or_else(|| {
-                PruneError::spill_decode(format!(
-                    "precision segment at level {}, which is not an int8 rung",
-                    seg.to_level
-                ))
-            })?;
-        for lp in &plan.layers {
-            let data = net.weight_mut(lp.layer)?.data_mut();
-            quantize_plan_layer(data, lp, |_| {});
-        }
-        if let Some(shadow) = &mut self.shadow {
-            shadow.push(seg.clone());
-        }
-        self.log.push(seg);
-        Ok(())
-    }
-
-    /// Replays a recovered fine-tune segment: scatters the level's tuned
-    /// weights from the attach-time plan exactly as level entry did,
-    /// then installs the segment verbatim (checksums included) rather
-    /// than recapturing it, so a segment that was corrupt at crash time
-    /// is corrupt again after recovery. The plan itself is rebuilt
-    /// deterministically by re-running `attach_fine_tuned` before
-    /// recovery calls this.
-    fn install_fine_tune_segment(&mut self, net: &mut Network, seg: LevelDelta) -> Result<()> {
-        if seg.to_level != self.current {
-            return Err(PruneError::spill_decode(format!(
-                "fine-tune segment restores level {}, but the log ends at level {}",
-                seg.to_level, self.current
-            )));
-        }
-        for span in &seg.spans {
-            let len = net.weight(span.layer)?.data().len();
-            if seg.indices[span.start..span.end]
-                .iter()
-                .any(|&i| i as usize >= len)
-            {
-                return Err(PruneError::spill_decode(format!(
-                    "fine-tune segment index out of range for layer {}",
-                    span.layer
-                )));
-            }
-        }
-        let plan = self
-            .ft_plans
-            .get(seg.to_level)
-            .and_then(Option::as_ref)
-            .ok_or_else(|| {
-                PruneError::spill_decode(format!(
-                    "fine-tune segment at level {}, which has no fine-tune plan",
-                    seg.to_level
-                ))
-            })?;
-        for lp in &plan.layers {
-            let data = net.weight_mut(lp.layer)?.data_mut();
-            for (&i, &tuned) in lp.indices.iter().zip(&lp.tuned) {
-                let slot = data.get_mut(i as usize).ok_or_else(|| {
-                    PruneError::spill_decode(format!(
-                        "fine-tune plan index {i} out of range for layer {}",
-                        lp.layer
-                    ))
-                })?;
-                *slot = tuned;
-            }
-        }
-        if let Some(shadow) = &mut self.shadow {
-            shadow.push(seg.clone());
-        }
-        self.log.push(seg);
-        Ok(())
     }
 
     /// Bit pattern of one stored log value, or `None` out of range.
@@ -1958,7 +1698,6 @@ impl ReversiblePruner {
             self.shadow_pool.extend(shadow.drain(..).rev());
         }
         self.scrub_cursor = 0;
-        self.current = 0;
         Ok(())
     }
 }
@@ -2531,6 +2270,69 @@ mod tests {
                 "word {word} at byte {offset} must be rejected"
             );
         }
+        // Two spans, the first claiming entries 0..9 of the two-entry
+        // arena: spans must tile the entries, not merely end inside them.
+        let mut two_spans = PINNED[..24].to_vec();
+        for word in [2u32, 0, 0, 9, 1, 0, 2] {
+            two_spans.extend_from_slice(&word.to_le_bytes());
+        }
+        two_spans.extend_from_slice(&PINNED[40..]);
+        assert!(matches!(
+            LevelDelta::from_spill_payload(&two_spans),
+            Err(PruneError::SpillDecode { .. })
+        ));
+
+        // A precision and a fine-tune segment: their tag words and
+        // checksum domain words cannot drift either.
+        const PINNED_PRECISION: [u8; 60] = [
+            2, 0, 0, 0, // to_level
+            1, 0, 0, 0, // kind: precision
+            0, 0, 0, 0, // value precision: exact
+            1, 0, 0, 0, // seal version: blocked hash
+            0xA0, 0x66, 0x6A, 0xB5, 0x5E, 0xBE, 0xAB, 0xEF, // seal
+            1, 0, 0, 0, // span count
+            1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, // span: layer 1, entries 0..2
+            2, 0, 0, 0, // entry count
+            0, 0, 0, 0, 5, 0, 0, 0, // indices
+            0, 0, 0x80, 0x3E, 0, 0, 0x40, 0xC0, // values: 0.25, -3.0
+        ];
+        const PINNED_TUNE: [u8; 72] = [
+            1, 0, 0, 0, // to_level
+            2, 0, 0, 0, // kind: fine-tune
+            0, 0, 0, 0, // value precision: exact
+            1, 0, 0, 0, // seal version: blocked hash
+            0x79, 0x87, 0x99, 0x67, 0x2D, 0x4F, 0xA2, 0xC3, // seal
+            2, 0, 0, 0, // span count
+            0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, // span: layer 0, entries 0..1
+            2, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, // span: layer 2, entries 1..2
+            2, 0, 0, 0, // entry count
+            4, 0, 0, 0, 1, 0, 0, 0, // indices
+            0, 0, 0, 0x3F, 0, 0, 0x80, 0xBF, // values: 0.5, -1.0
+        ];
+        let exact = |layer: usize, i: u32, v: f32| LayerDelta {
+            layer: LayerId(layer),
+            indices: vec![i],
+            values: DeltaValues::Exact(vec![v]),
+        };
+        let mut precision = LevelDelta::new(
+            2,
+            vec![LayerDelta {
+                layer: LayerId(1),
+                indices: vec![0, 5],
+                values: DeltaValues::Exact(vec![0.25, -3.0]),
+            }],
+        );
+        precision.kind = DeltaKind::Precision;
+        precision.seal();
+        let mut tune = LevelDelta::new(1, vec![exact(0, 4, 0.5), exact(2, 1, -1.0)]);
+        tune.kind = DeltaKind::FineTune;
+        tune.seal();
+        for (seg, pinned) in [(precision, &PINNED_PRECISION[..]), (tune, &PINNED_TUNE[..])] {
+            assert_eq!(seg.to_spill_payload(), pinned);
+            let decoded = LevelDelta::from_spill_payload(pinned).unwrap();
+            assert_eq!(decoded, seg);
+            assert!(decoded.verify());
+        }
     }
 
     #[test]
@@ -2666,7 +2468,7 @@ mod tests {
         let top = p.log_segment(1).unwrap();
         assert_eq!(top.kind, DeltaKind::Precision);
         assert_eq!(top.to_level, 1);
-        assert_eq!(top.len(), p.precision_entries_at(1));
+        assert_eq!(top.len(), p.hop_entries(0, 1).rung);
         assert_eq!(p.log_segment(0).unwrap().kind, DeltaKind::Evict);
         // Climbing to the next rung pops level 1's precision segment
         // first and parks level 2's on top.
@@ -2686,7 +2488,7 @@ mod tests {
         let (mut net, mut p) = setup_quant(vec![0.0, 0.5], vec![F32, Int8]);
         let up = p.set_level(&mut net, 1).unwrap();
         let evicted = p.ladder().level(1).unwrap().masks.pruned_count();
-        assert_eq!(up.weights_pruned, evicted + p.precision_entries_at(1));
+        assert_eq!(up.weights_pruned, evicted + p.hop_entries(0, 1).rung);
         let down = p.set_level(&mut net, 0).unwrap();
         assert_eq!(down.weights_restored, up.weights_pruned);
         p.verify_restored(&net).unwrap();
@@ -2840,7 +2642,7 @@ mod tests {
         let (_, p) = setup_quant(vec![0.0, 0.4, 0.8], vec![F32, Int8, F32]);
         let at_top = p.ladder().level(2).unwrap().masks.pruned_count();
         let at_rung =
-            p.ladder().level(1).unwrap().masks.pruned_count() + p.precision_entries_at(1);
+            p.ladder().level(1).unwrap().masks.pruned_count() + p.hop_entries(0, 1).rung;
         assert_eq!(
             p.max_log_bytes(),
             at_rung.max(at_top) * LogPrecision::Exact.entry_bytes()
@@ -2881,11 +2683,11 @@ mod tests {
                 "attach must hand back the untouched level-0 weights"
             );
         }
-        assert!(p.has_fine_tune_plans());
-        assert!(p.fine_tune_entries_at(1) > 0, "training changed no weights");
+        assert!(p.hop_entries(0, 2).tune > 0);
+        assert!(p.hop_entries(0, 1).tune > 0, "training changed no weights");
         assert_eq!(
-            p.fine_tune_entries_to(2),
-            p.fine_tune_entries_at(1) + p.fine_tune_entries_at(2)
+            p.hop_entries(0, 2).tune,
+            p.hop_entries(0, 1).tune + p.hop_entries(1, 2).tune
         );
     }
 
@@ -2975,7 +2777,7 @@ mod tests {
             })
             .collect();
         // Recovery re-runs the deterministic attach (rebuilding the
-        // fine-tune plans), then installs the spilled segments.
+        // tune hops), then installs the spilled segments.
         let (mut net2, mut p2) = ft_attach(vec![0.0, 0.4, 0.8], 15);
         p2.install_log(&mut net2, segments).unwrap();
         assert_eq!(p2.current_level(), 2);
@@ -3010,6 +2812,21 @@ mod tests {
             }
         }
         let err = p2.install_log(&mut net2, doubled).unwrap_err();
+        assert!(matches!(err, PruneError::SpillDecode { .. }), "{err}");
+        // A level's tune segment missing from the walk.
+        let first_tune = segs
+            .iter()
+            .position(|s| s.kind == DeltaKind::FineTune)
+            .unwrap();
+        let mut missing = segs.clone();
+        missing.remove(first_tune);
+        let err = p2.install_log(&mut net2, missing).unwrap_err();
+        assert!(matches!(err, PruneError::SpillDecode { .. }), "{err}");
+        // A resealed segment listing other positions than its hop.
+        let mut moved = segs.clone();
+        moved[0].indices[0] += 1;
+        moved[0].seal();
+        let err = p2.install_log(&mut net2, moved).unwrap_err();
         assert!(matches!(err, PruneError::SpillDecode { .. }), "{err}");
     }
 

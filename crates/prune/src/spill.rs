@@ -295,6 +295,15 @@ impl<'a> PayloadReader<'a> {
         self.u64().map(f64::from_bits)
     }
 
+    /// Skips the next `n` bytes, if present.
+    pub(crate) fn skip(&mut self, n: usize) -> Option<()> {
+        if n > self.remaining() {
+            return None;
+        }
+        self.pos += n;
+        Some(())
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -333,36 +342,46 @@ pub fn encode_base(net: &Network, precision_flag: u32) -> Vec<u8> {
 }
 
 /// Applies a [`encode_base`] payload onto `net`'s prunable weights,
-/// returning the recorded precision flag.
+/// returning the recorded precision flag. The whole payload is
+/// validated before any weight is written, so a rejected payload leaves
+/// `net` untouched.
 ///
 /// # Errors
 ///
-/// Returns [`PruneError::SpillDecode`] when the payload is truncated or
-/// names layers/shapes the network does not have.
+/// Returns [`PruneError::SpillDecode`] when the payload is truncated,
+/// has trailing bytes, or names layers/shapes the network does not have.
 pub fn apply_base(net: &mut Network, payload: &[u8]) -> Result<u32> {
     let err = |what: &str| PruneError::spill_decode(format!("base image: {what}"));
     let mut r = PayloadReader::new(payload);
     let precision = r.u32().ok_or_else(|| err("missing precision"))?;
     let layer_count = r.u32().ok_or_else(|| err("missing layer count"))? as usize;
+    // Each layer's id and the byte offset of its weights.
+    let mut layers = Vec::new();
     for _ in 0..layer_count {
         let id = LayerId(r.u32().ok_or_else(|| err("missing layer id"))? as usize);
         let len = r.u32().ok_or_else(|| err("missing layer length"))? as usize;
-        let data = net
-            .weight_mut(id)
+        let held = net
+            .weight(id)
             .map_err(|e| err(&format!("unknown layer {id}: {e}")))?
-            .data_mut();
-        if data.len() != len {
+            .len();
+        if held != len {
             return Err(err(&format!(
-                "layer {id} holds {} weights, image has {len}",
-                data.len()
+                "layer {id} holds {held} weights, image has {len}"
             )));
         }
-        for slot in data.iter_mut() {
-            *slot = f32::from_bits(r.u32().ok_or_else(|| err("truncated weights"))?);
-        }
+        let start = payload.len() - r.remaining();
+        r.skip(4 * len).ok_or_else(|| err("truncated weights"))?;
+        layers.push((id, start));
     }
     if !r.done() {
         return Err(err("trailing bytes"));
+    }
+    for (id, offset) in layers {
+        let data = net.weight_mut(id)?.data_mut();
+        let bytes = &payload[offset..offset + 4 * data.len()];
+        for (slot, word) in data.iter_mut().zip(bytes.chunks_exact(4)) {
+            *slot = f32::from_bits(u32::from_le_bytes(word.try_into().expect("4-byte chunk")));
+        }
     }
     Ok(precision)
 }
@@ -506,5 +525,38 @@ mod tests {
             apply_base(&mut net.clone(), &payload[..8]),
             Err(PruneError::SpillDecode { .. })
         ));
+    }
+
+    #[test]
+    fn rejected_base_image_leaves_the_network_untouched() {
+        let payload = encode_base(&models::default_perception_cnn(80).unwrap(), 0);
+        let target = models::default_perception_cnn(81).unwrap();
+        let layers = target.prunable_layers();
+        // The last layer's header follows the precision and count words
+        // and every earlier layer's id, length and weights.
+        let last = 8 + layers[..layers.len() - 1]
+            .iter()
+            .map(|m| 8 + 4 * m.weight_len())
+            .sum::<usize>();
+        let mut unknown_layer = payload.clone();
+        unknown_layer[last..last + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut wrong_size = payload.clone();
+        let len = layers[layers.len() - 1].weight_len() as u32 + 1;
+        wrong_size[last + 4..last + 8].copy_from_slice(&len.to_le_bytes());
+        let mut trailing = payload.clone();
+        trailing.extend_from_slice(&[0; 4]);
+        for bad in [
+            &payload[..payload.len() - 4],
+            &unknown_layer[..],
+            &wrong_size[..],
+            &trailing[..],
+        ] {
+            let mut net = target.clone();
+            assert!(matches!(
+                apply_base(&mut net, bad),
+                Err(PruneError::SpillDecode { .. })
+            ));
+            assert_eq!(net, target, "a rejected image must not write any weight");
+        }
     }
 }

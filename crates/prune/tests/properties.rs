@@ -8,7 +8,9 @@
 use proptest::prelude::*;
 use reprune_nn::{models, Network};
 use reprune_prune::compact::{compact_network, zero_dead_unit_biases};
-use reprune_prune::{LadderConfig, PruneCriterion, ReversiblePruner, SnapshotRestore};
+use reprune_prune::{
+    FineTuneSpec, LadderConfig, PruneCriterion, ReversiblePruner, SnapshotRestore,
+};
 use reprune_tensor::rng::Prng;
 use reprune_tensor::Tensor;
 
@@ -522,21 +524,35 @@ proptest! {
         net_seed in 0u64..300,
         ladder_spec in mixed_ladder_strategy(),
         target in 0usize..6,
+        tuned in any::<bool>(),
+        tune_seed in 0u64..1000,
     ) {
         use reprune_prune::pruner::LevelDelta;
         let (levels, precisions) = ladder_spec;
         let original = small_net(net_seed);
         let mut net = original.clone();
-        let ladder = LadderConfig::new(levels)
-            .precisions(precisions)
-            .build(&net)
-            .unwrap();
+        let mut config = LadderConfig::new(levels).precisions(precisions);
+        if tuned {
+            config = config.fine_tune(FineTuneSpec { steps: 2, lr: 0.05, seed: tune_seed });
+        }
+        let ladder = config.build(&net).unwrap();
         let n = ladder.num_levels();
         let level = 1 + target % (n - 1);
-        let mut pruner = ReversiblePruner::attach(&net, ladder.clone()).unwrap();
+        // A fine-tuned ladder's tune hops come from attach-time training,
+        // so recovery replays the same deterministic attach.
+        let data = reprune_nn::dataset::BlobsDataset::generate(12, 6, 4, 0.4, tune_seed);
+        let attach = |net: &mut Network| {
+            if tuned {
+                ReversiblePruner::attach_fine_tuned(net, ladder.clone(), data.samples())
+            } else {
+                ReversiblePruner::attach(net, ladder.clone())
+            }
+            .unwrap()
+        };
+        let mut pruner = attach(&mut net);
         pruner.set_level(&mut net, level).unwrap();
 
-        // Round-trip every live segment (evictions + any dtype-tagged
+        // Round-trip every live segment (evictions, tunes and any
         // precision segment) through the spill codec.
         let mut recovered_segs = Vec::new();
         for i in 0..pruner.log_segments() {
@@ -554,7 +570,7 @@ proptest! {
         // Crash recovery: rebuild a fresh pruner over the pristine image
         // from the recovered segments.
         let mut rec_net = original.clone();
-        let mut rec = ReversiblePruner::attach(&rec_net, ladder).unwrap();
+        let mut rec = attach(&mut rec_net);
         rec.install_log(&mut rec_net, recovered_segs).unwrap();
         prop_assert_eq!(rec.current_level(), level);
         prop_assert!(
@@ -563,7 +579,13 @@ proptest! {
         );
         rec.set_level(&mut rec_net, 0).unwrap();
         rec.verify_restored(&rec_net).unwrap();
-        prop_assert_eq!(rec_net, original);
+        if tuned {
+            // Attach-time training leaves optimizer state behind, so only
+            // the weights can match the untouched original.
+            prop_assert!(weights_bits_eq(&rec_net, &original));
+        } else {
+            prop_assert_eq!(rec_net, original);
+        }
     }
 }
 

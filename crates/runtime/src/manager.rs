@@ -269,36 +269,34 @@ impl RuntimeManager {
         let input_dims = [1, reprune_nn::dataset::SCENE_SIZE, reprune_nn::dataset::SCENE_SIZE];
         let plans = ladder_plans(&net, &ladder)?;
         let mut trace = TickTrace::new(config.trace_capacity);
-        let (mut pruner, mirror_net, mirror_pruner) = if ladder.has_fine_tune() {
+        let mut pruner = if ladder.has_fine_tune() {
             // The ladder carries a fine-tune spec: render the calibration
-            // set deterministically and run the attach-time tuning walk.
-            // `attach_fine_tuned` hands the net back at level 0 bit-exact
-            // (it verifies the restore itself), so the fault-free twin is
-            // a plain clone of the tuned pruner and network — recovery
-            // re-runs this exact walk and reproduces the same plans.
+            // set deterministically and run the attach-time tuning walk,
+            // which hands the net back at level 0 bit-exact (it verifies
+            // the restore itself). Recovery re-runs this exact walk and
+            // reproduces the same tune hops.
             let data = reprune_nn::dataset::SceneDataset::builder()
                 .samples(config.fine_tune_data.samples)
                 .seed(config.fine_tune_data.seed)
                 .build();
-            let pruner = ReversiblePruner::attach_fine_tuned(&mut net, ladder, data.samples())?;
-            for level in 1..pruner.ladder().num_levels() {
-                let entries = pruner.fine_tune_entries_at(level);
-                if entries > 0 {
-                    trace.record(
-                        0.0,
-                        StageId::Knowledge,
-                        TraceEventKind::FineTuneAttached { level, entries },
-                    );
-                }
-            }
-            let mirror_net = net.clone();
-            let mirror_pruner = pruner.clone();
-            (pruner, mirror_net, mirror_pruner)
+            ReversiblePruner::attach_fine_tuned(&mut net, ladder, data.samples())?
         } else {
-            let mirror_net = net.clone();
-            let mirror_pruner = ReversiblePruner::attach(&mirror_net, ladder.clone())?;
-            (ReversiblePruner::attach(&net, ladder)?, mirror_net, mirror_pruner)
+            ReversiblePruner::attach(&net, ladder)?
         };
+        for level in 1..pruner.ladder().num_levels() {
+            let entries = pruner.hop_entries(level - 1, level).tune;
+            if entries > 0 {
+                trace.record(
+                    0.0,
+                    StageId::Knowledge,
+                    TraceEventKind::FineTuneAttached { level, entries },
+                );
+            }
+        }
+        // The fault-free twin starts as a copy of the freshly attached
+        // pruner and network.
+        let mirror_net = net.clone();
+        let mirror_pruner = pruner.clone();
         let num_levels = pruner.ladder().num_levels();
         let mut levels = Vec::with_capacity(num_levels);
         for k in 0..num_levels {
@@ -312,11 +310,11 @@ impl RuntimeManager {
                 // budgets see the cheaper precision; F32 levels delegate
                 // bit-identically to the pre-precision cost model.
                 inference: config.soc.inference_cost_at(&profile, level.precision),
-                // Fine-tune deltas ride on the log next to the evicted
-                // rows, so they count toward the standing-entry budget
-                // (zero for ladders without a fine-tune spec).
-                log_entries: ((level.masks.pruned_count() + pruner.fine_tune_entries_to(k)) as f64
-                    * config.scale.factor) as usize,
+                // Tune hops ride on the log next to the eviction hops, so
+                // they count toward the standing-entry budget (zero for
+                // ladders without a fine-tune spec).
+                log_entries: (pruner.hop_entries(0, k).walk() as f64 * config.scale.factor)
+                    as usize,
             });
         }
         let model_bytes = Bytes(

@@ -64,30 +64,6 @@ pub struct Plant {
 }
 
 impl Plant {
-    /// Reversal-log entries separating ladder levels `low` and `high`
-    /// (unscaled). Fine-tuned ladders additionally pop one weight-delta
-    /// segment per tuned level on the walk down, so those entries are
-    /// charged too (zero for ordinary ladders).
-    pub fn entries_between(&self, low: usize, high: usize) -> usize {
-        let a = self
-            .pruner
-            .ladder()
-            .level(low)
-            .map(|l| l.masks.pruned_count())
-            .unwrap_or(0);
-        let b = self
-            .pruner
-            .ladder()
-            .level(high)
-            .map(|l| l.masks.pruned_count())
-            .unwrap_or(0);
-        let ft = self
-            .pruner
-            .fine_tune_entries_to(high)
-            .saturating_sub(self.pruner.fine_tune_entries_to(low));
-        b.saturating_sub(a) + ft
-    }
-
     /// Brings the fault-free twin to the live pruner's level and
     /// refreshes its checksum.
     ///

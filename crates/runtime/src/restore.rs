@@ -174,7 +174,10 @@ impl RestoreChain {
                         k.note_repaired(t, StageId::Execute, ChainHop::ShadowRepair, trace);
                         k.log_bad = false;
                         rep.latency += self.soc.delta_restore_latency(
-                            (plant.entries_between(target, plant.pruner.current_level()) as f64
+                            (plant
+                                .pruner
+                                .hop_entries(target, plant.pruner.current_level())
+                                .walk() as f64
                                 * self.scale_factor) as usize,
                         );
                         trace.record(

@@ -17,7 +17,6 @@ use crate::policy::Policy;
 use crate::restore::{ChainReport, RestoreChain};
 use crate::trace::{StageId, TickTrace, TraceEventKind};
 use crate::Result;
-use reprune_prune::DeltaKind;
 use reprune_scenario::{OddSpec, Tick};
 
 /// Ladder cap applied while [`OperatingState::Degraded`]: no pruning
@@ -373,7 +372,7 @@ impl ChainExecutor {
             if level <= target {
                 break;
             }
-            let entries = plant.entries_between(level - 1, level);
+            let entries = plant.pruner.hop_entries(level - 1, level).walk();
             let latency = chain.restore_latency(entries);
             if spent > 0.0 && spent + latency.0 > budget {
                 break;
@@ -471,16 +470,11 @@ impl Execute for ChainExecutor {
             if target > plant.pruner.current_level() {
                 // Pruning deeper: in-place mask application, sub-tick cost.
                 let before = plant.pruner.log_entries();
-                // Leaving an int8 rung pops its precision segment before
+                // Leaving an int8 rung pops its rung segment before
                 // pruning deeper. A corrupt one goes through the restore
                 // chain, which detects it once, repairs or degrades, and
                 // counts the transition itself.
-                let top = plant.pruner.log_segments().checked_sub(1);
-                let corrupt_precision = plant.pruner.verifies_on_pop()
-                    && top
-                        .and_then(|i| plant.pruner.log_segment(i))
-                        .is_some_and(|s| s.kind == DeltaKind::Precision && !s.verify());
-                if corrupt_precision {
+                if plant.pruner.rung_pop_fails() {
                     let rep = chain.set_level_chain(k, plant, target, tick.t, trace)?;
                     k.absorb(rep);
                 } else {
@@ -510,7 +504,10 @@ impl Execute for ChainExecutor {
                 Self::apply_amortized(k, plant, chain, target, budget, tick, trace)?;
             } else {
                 // Restoring capacity: charge the configured mechanism.
-                let entries = plant.entries_between(target, plant.pruner.current_level());
+                let entries = plant
+                    .pruner
+                    .hop_entries(target, plant.pruner.current_level())
+                    .walk();
                 let latency = chain.restore_latency(entries);
                 k.absorb_deferred(ChainReport {
                     latency,
