@@ -19,8 +19,9 @@
 //! * the end-to-end inference tick (`predict_with`) at every ladder
 //!   density from 1.00 down to 0.25,
 //! * steady-state arena allocation events (must be zero),
-//! * the fleet suite (`BENCH_fleet.json`): pooled-vs-serial
-//!   `FleetRuntime::step_all`, shared-vs-copied weight bytes,
+//! * the fleet suite (`BENCH_fleet.json`): `FleetRuntime::step_all` on
+//!   1/2/4/8 stepping threads vs serial (the `fleet_step_pooled_*`
+//!   entries keep their names), shared-vs-copied weight bytes,
 //!   budget-planner scaling (8 -> 64 members from scratch), and the
 //!   dirty-set incremental planner replanning a 10k-member fleet with
 //!   ~1% of risks moving per tick.
@@ -692,12 +693,11 @@ fn main() {
             f
         };
 
-        // Worker-count sweep: pooled step_all at 1/2/4/8 workers, each
-        // against a fresh serial baseline, interleaved on the same tick
-        // sequence so both fleets in a pair age identically between
-        // samples. Every entry records the pool size the fleet actually
-        // used (`pool_size()` reports the persistent pool's thread
-        // count, not the requested cap).
+        // Worker-count sweep: step_all at 1/2/4/8 workers, each against
+        // a fresh serial baseline, interleaved on the same tick sequence
+        // so both fleets in a pair age identically between samples.
+        // Every entry records the threads a step actually ran on
+        // (`pool_size()` is `min(workers, members)`).
         let scenario = ScenarioConfig::new().duration_s(120.0).seed(77).generate();
         let ticks = scenario.ticks();
         let dt = scenario.config().dt_s;

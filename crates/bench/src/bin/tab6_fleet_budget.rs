@@ -17,12 +17,10 @@
 //!
 //! Run with: `cargo run --release -p reprune-bench --bin tab6_fleet_budget`
 //!
-//! Flags: `--workers N` caps the live fleet's persistent step pool
-//! (default: machine parallelism; `1` forces serial stepping), and
-//! `--incremental-planner on|off` selects the dirty-set bucket planner
-//! or from-scratch arbitration. Both are byte-identical to serial
-//! from-scratch stepping, so the printed tables — which CI diffs across
-//! worker counts and planner modes — never change with either flag.
+//! Flag: `--workers N` caps the threads the live fleet steps on
+//! (default: machine parallelism; `1` forces serial stepping). Stepping
+//! is byte-identical at every worker count, so the printed tables —
+//! which CI diffs across worker counts — never change with the flag.
 
 use reprune::nn::dataset::{BlobsDataset, SCENE_SIZE};
 use reprune::nn::train::{train_classifier, TrainConfig};
@@ -91,7 +89,7 @@ fn camera_fleet(
     cnn: &Network,
     ladder: &SparsityLadder,
     utility: &[f64],
-    opts: &StepOptions,
+    workers: Option<usize>,
 ) -> FleetRuntime {
     let mut fleet = FleetRuntime::new(
         (0..FLEET_SIZE)
@@ -112,22 +110,15 @@ fn camera_fleet(
             .collect(),
     )
     .expect("fleet builds");
-    if let Some(w) = opts.workers {
+    if let Some(w) = workers {
         fleet.set_workers(w);
     }
-    fleet.set_incremental_planner(opts.incremental);
     fleet
 }
 
-/// How the live fleet steps: pool cap and planner mode, from the CLI.
-#[derive(Default)]
-struct StepOptions {
-    workers: Option<usize>,
-    incremental: bool,
-}
-
-fn parse_args() -> StepOptions {
-    let mut opts = StepOptions::default();
+/// The `--workers N` cap on the live fleet's stepping threads, if given.
+fn parse_args() -> Option<usize> {
+    let mut workers = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -136,26 +127,16 @@ fn parse_args() -> StepOptions {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .expect("--workers needs a positive integer");
-                opts.workers = Some(n);
+                workers = Some(n);
             }
-            "--incremental-planner" => {
-                opts.incremental = match args.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => panic!("--incremental-planner needs on|off"),
-                };
-            }
-            other => panic!(
-                "unknown argument: {other} \
-                 (expected --workers N / --incremental-planner on|off)"
-            ),
+            other => panic!("unknown argument: {other} (expected --workers N)"),
         }
     }
-    opts
+    workers
 }
 
 fn main() {
-    let opts = parse_args();
+    let workers = parse_args();
     let soc = SocModel::jetson_class();
 
     // Member 1: the perception CNN (also the live fleet's architecture).
@@ -175,7 +156,7 @@ fn main() {
 
     // ---- Part 1: the live 4-camera fleet under arbitration ----------
     println!("T6a: live {FLEET_SIZE}-camera fleet, per-tick budget arbitration");
-    let fleet = camera_fleet(&cnn, &cnn_ladder, &perception.utility_per_level, &opts);
+    let fleet = camera_fleet(&cnn, &cnn_ladder, &perception.utility_per_level, workers);
     let storage = fleet.weight_storage_bytes();
     let dense_bytes: usize = cnn.param_storage().iter().map(|(_, b)| b).sum();
     println!(
@@ -208,7 +189,7 @@ fn main() {
     print_rule(&widths);
     let mut realized = Vec::new();
     for frac in [1.0, 0.7, 0.5, 0.35] {
-        let mut f = camera_fleet(&cnn, &cnn_ladder, &perception.utility_per_level, &opts);
+        let mut f = camera_fleet(&cnn, &cnn_ladder, &perception.utility_per_level, workers);
         let r = f
             .run(&scenario, Some(Joules(fleet_dense * frac)))
             .expect("fleet run");
@@ -318,7 +299,7 @@ fn main() {
     // The stateful dirty-set planner rides along through the whole
     // budget/risk sweep — a live mutation sequence — and must agree
     // byte-for-byte with every from-scratch plan. It asserts silently,
-    // so stdout is identical whichever planner the live fleet used.
+    // so stdout shows only the from-scratch table.
     let mut planner = FleetPlanner::new(members.to_vec()).expect("planner builds");
     for (risks, label) in [([0.05, 0.05], "calm"), ([0.9, 0.05], "p-risk")] {
         for budget_frac in [1.0, 0.8, 0.6, 0.4, 0.3] {

@@ -6,22 +6,20 @@
 //! **runs** the fleet. Every tick:
 //!
 //! 1. **Arbitrate** — the members' current risks and the tick's budget
-//!    become per-member ladder levels, either from scratch
-//!    ([`crate::fleet::plan_budget_prevalidated`]) or through the
-//!    stateful dirty-set [`FleetPlanner`] (DESIGN.md §15) when
-//!    [`FleetRuntime::set_incremental_planner`] is on — byte-identical
-//!    either way. Member profiles are validated once, at construction;
-//!    a member whose Knowledge bumps its plan epoch (an energy
-//!    reprofile) is re-derived and re-validated at that mutation edge.
+//!    become per-member ladder levels through the stateful dirty-set
+//!    [`FleetPlanner`] (DESIGN.md §15), whose plans are byte-identical
+//!    to [`crate::fleet::plan_budget_prevalidated`]. Member profiles are
+//!    validated once, at construction; a member whose Knowledge bumps
+//!    its plan epoch (an energy reprofile) is re-derived and
+//!    re-validated at that mutation edge.
 //! 2. **Inject** — each arbitrated level becomes an
 //!    [`ExternalCap`](crate::knowledge::ExternalCap) on that member's
 //!    Plan stage: a level *floor* the local policy may deepen but not
 //!    undercut, always clamped by the member's own safety envelope.
 //! 3. **Step** — all members execute one MAPE-K iteration concurrently
-//!    on a persistent work-stealing pool ([`crate::pool`]): workers park
-//!    between ticks, claim member indices from an atomic counter, and
-//!    write results by index, so the output is identical to serial
-//!    stepping (DESIGN.md §14).
+//!    inside one `std::thread::scope`: the threads claim members from a
+//!    shared iterator and return their records tagged by member index,
+//!    so the output is identical to serial stepping (DESIGN.md §14).
 //! 4. **Record** — a [`FleetTickRecord`] aggregates per-member
 //!    level/energy/utility, the arbitration decision, and budget slack.
 //!
@@ -30,17 +28,17 @@
 //! N-member fleet holds ~1× the dense weights plus per-member reversal
 //! logs instead of N× full copies.
 
-use crate::fleet::{plan_budget_prevalidated, BudgetPlan, FleetMember};
+use crate::fleet::{BudgetPlan, FleetMember};
 use crate::knowledge::ExternalCap;
 use crate::manager::RuntimeManager;
 use crate::planner::{FleetPlanner, PlannerStats};
-use crate::pool::{SharedMut, Slots, StepPool};
 use crate::record::TickRecord;
 use crate::trace::TraceEvent;
 use crate::{Result, RuntimeError};
 use reprune_platform::Joules;
 use reprune_scenario::{Scenario, Tick};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 /// One member's slice of a [`FleetTickRecord`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,26 +169,18 @@ impl FleetRunResult {
 /// keeps the dense weights in one copy), attach each to its own
 /// [`RuntimeManager`], and hand them to [`FleetRuntime::new`] together
 /// with a per-level utility profile (e.g. validation accuracy). The
-/// member profiles are validated once here; the per-tick arbitration
-/// then runs on the prevalidated fast path.
+/// member profiles are validated once here and handed to the
+/// [`FleetPlanner`], which arbitrates every tick.
 pub struct FleetRuntime {
-    profiles: Vec<FleetMember>,
     managers: Vec<RuntimeManager>,
     workers: usize,
-    /// Persistent worker pool; built lazily for the first multi-worker
-    /// step and rebuilt only when the effective pool size changes.
-    pool: Option<StepPool>,
-    /// Whether arbitration runs through the stateful incremental planner.
-    incremental: bool,
-    /// The dirty-set planner, built lazily on the first incremental
-    /// arbitration and kept across ticks (its whole point). Dropped when
-    /// incremental mode is turned off.
-    planner: Option<FleetPlanner>,
+    /// The budget arbiter. It owns the validated member profiles and
+    /// keeps its dirty-set and plan cache across ticks.
+    planner: FleetPlanner,
     /// Per-member [`crate::knowledge::Knowledge::plan_epoch`] snapshot:
     /// the profile half of the dirty-set. A member whose manager bumped
     /// its epoch gets its profile re-derived (and re-validated) before
-    /// the next arbitration — in *both* planner modes, so they stay
-    /// byte-identical.
+    /// the next arbitration.
     planner_epochs: Vec<u64>,
     /// Wall-clock seconds the most recent arbitration took.
     last_plan_s: f64,
@@ -231,12 +221,9 @@ impl FleetRuntime {
             .map(|m| m.knowledge_state().plan_epoch)
             .collect();
         Ok(FleetRuntime {
-            profiles,
             managers,
             workers,
-            pool: None,
-            incremental: false,
-            planner: None,
+            planner: FleetPlanner::new(profiles)?,
             planner_epochs,
             last_plan_s: 0.0,
         })
@@ -252,9 +239,10 @@ impl FleetRuntime {
         self.managers.is_empty()
     }
 
-    /// The validated member profiles, fleet order.
+    /// The validated member profiles the planner arbitrates over, fleet
+    /// order.
     pub fn profiles(&self) -> &[FleetMember] {
-        &self.profiles
+        self.planner.members()
     }
 
     /// Shared access to one member's runtime.
@@ -268,64 +256,30 @@ impl FleetRuntime {
         &mut self.managers[member]
     }
 
-    /// Caps the worker pool (clamped to at least 1). Workers default to
-    /// the machine's available parallelism; `1` forces serial stepping —
-    /// the baseline the fleet benchmark compares against. Changing the
-    /// count retires the current persistent pool; the next multi-worker
-    /// step builds one at the new size.
+    /// Caps the stepping threads (clamped to at least 1). Workers
+    /// default to the machine's available parallelism; `1` steps every
+    /// member on the calling thread — the baseline the fleet benchmark
+    /// compares against.
     pub fn set_workers(&mut self, workers: usize) {
-        let workers = workers.max(1);
-        if workers != self.workers {
-            self.workers = workers;
-            self.pool = None;
-        }
+        self.workers = workers.max(1);
     }
 
-    /// Switches budget arbitration between the from-scratch greedy (off,
-    /// the default) and the stateful dirty-set / bucketed / sharded
-    /// [`FleetPlanner`] (on). Plans are byte-identical in both modes; the
-    /// incremental planner only changes the cost of producing them.
-    /// Turning the mode off drops the planner state — it is rebuilt from
-    /// profiles and Knowledge alone, never persisted, so crash recovery
-    /// and mode flips cannot desynchronize it.
-    pub fn set_incremental_planner(&mut self, on: bool) {
-        self.incremental = on;
-        if !on {
-            self.planner = None;
-        }
+    /// Statistics of the most recent arbitration (dirty-set occupancy,
+    /// cache hits); all zero before the first step.
+    pub fn planner_stats(&self) -> PlannerStats {
+        self.planner.stats()
     }
 
-    /// Whether the incremental planner arbitrates the budget.
-    pub fn incremental_planner(&self) -> bool {
-        self.incremental
-    }
-
-    /// Statistics of the most recent incremental arbitration (dirty-set
-    /// occupancy, cache hits), or `None` before the first one / in
-    /// from-scratch mode.
-    pub fn planner_stats(&self) -> Option<PlannerStats> {
-        self.planner.as_ref().map(FleetPlanner::stats)
-    }
-
-    /// Wall-clock seconds the most recent budget arbitration took
-    /// (whichever mode produced it); `0.0` before the first step.
+    /// Wall-clock seconds the most recent budget arbitration took;
+    /// `0.0` before the first step.
     pub fn last_plan_seconds(&self) -> f64 {
         self.last_plan_s
     }
 
-    /// Threads the current persistent pool would use for a phase
-    /// (workers plus the stepping thread), or 1 before any pooled step.
+    /// Threads a step runs on, including the calling thread:
+    /// `min(workers, members)`.
     pub fn pool_size(&self) -> usize {
-        self.pool.as_ref().map_or(1, StepPool::size)
-    }
-
-    /// Builds (or rebuilds) the persistent pool so a phase runs on
-    /// exactly `effective` threads including the caller.
-    fn ensure_pool(&mut self, effective: usize) {
-        debug_assert!(effective > 1);
-        if self.pool.as_ref().map(StepPool::size) != Some(effective) {
-            self.pool = Some(StepPool::new(effective - 1));
-        }
+        self.workers.min(self.managers.len())
     }
 
     /// Unique-vs-naive bytes of weight storage across the whole fleet
@@ -365,13 +319,18 @@ impl FleetRuntime {
 
     /// One arbitrated, concurrent fleet step with explicit per-member
     /// risks: arbitrates the budget, injects the per-member caps, steps
-    /// every member on the worker pool, and aggregates the record.
+    /// every member concurrently, and aggregates the record.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::BadConfig`] for invalid risks (NaN,
     /// infinite, negative, wrong count) and propagates member step
     /// errors.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a member step's panic on the calling thread, after
+    /// every other member has stepped.
     pub fn step_with_risks(
         &mut self,
         tick: &Tick,
@@ -381,11 +340,7 @@ impl FleetRuntime {
     ) -> Result<FleetTickRecord> {
         let planned_at = std::time::Instant::now();
         self.refresh_profiles()?;
-        let plan = if self.incremental {
-            self.plan_incremental(risks, budget)?
-        } else {
-            plan_budget_prevalidated(&self.profiles, risks, budget)?
-        };
+        let plan = self.planner.plan(risks, budget)?;
         self.last_plan_s = planned_at.elapsed().as_secs_f64();
         for (manager, &level) in self.managers.iter_mut().zip(&plan.levels) {
             manager.set_external_cap(Some(ExternalCap { level }));
@@ -393,7 +348,7 @@ impl FleetRuntime {
         let records = self.step_members(tick, dt)?;
         let members: Vec<MemberTick> = records
             .iter()
-            .zip(&self.profiles)
+            .zip(self.planner.members())
             .zip(&plan.levels)
             .map(|((rec, profile), &cap)| MemberTick {
                 cap,
@@ -417,83 +372,71 @@ impl FleetRuntime {
 
     /// Re-derives any member profile whose manager bumped its
     /// plan-relevant Knowledge epoch since the last arbitration (e.g. an
-    /// energy reprofile). Validation happens here, at the mutation edge —
-    /// the arbitration hot path below never re-validates — and the
-    /// refresh applies in both planner modes so they stay byte-identical.
+    /// energy reprofile) and hands it to the planner. Validation happens
+    /// here, at the mutation edge — the arbitration hot path never
+    /// re-validates.
     fn refresh_profiles(&mut self) -> Result<()> {
-        for i in 0..self.managers.len() {
-            let epoch = self.managers[i].knowledge_state().plan_epoch;
+        for (i, manager) in self.managers.iter().enumerate() {
+            let epoch = manager.knowledge_state().plan_epoch;
             if epoch == self.planner_epochs[i] {
                 continue;
             }
+            let old = &self.planner.members()[i];
             // `from_knowledge` runs the full member validation.
             let profile = FleetMember::from_knowledge(
-                self.profiles[i].name.clone(),
-                self.profiles[i].envelope.clone(),
-                self.managers[i].knowledge(),
-                self.profiles[i].utility_per_level.clone(),
+                old.name.clone(),
+                old.envelope.clone(),
+                manager.knowledge(),
+                old.utility_per_level.clone(),
             )?;
-            if let Some(planner) = self.planner.as_mut() {
-                planner.update_member(i, profile.clone())?;
-            }
-            self.profiles[i] = profile;
+            self.planner.update_member(i, profile)?;
             self.planner_epochs[i] = epoch;
         }
         Ok(())
     }
 
-    /// Arbitration through the stateful planner, with its partition
-    /// phases (dirty scan, cap materialization) fanned out on the step
-    /// pool when both the fleet and the pool are big enough to benefit.
-    fn plan_incremental(&mut self, risks: &[f64], budget: Option<Joules>) -> Result<BudgetPlan> {
-        if self.planner.is_none() {
-            self.planner = Some(FleetPlanner::new(self.profiles.clone())?);
-        }
-        let workers = self.workers.min(self.managers.len());
-        let shards = self.planner.as_ref().expect("planner built above").partitions();
-        let use_pool = workers > 1 && shards > 1;
-        if use_pool {
-            self.ensure_pool(workers);
-        }
-        let pool = if use_pool { self.pool.as_ref() } else { None };
-        self.planner
-            .as_mut()
-            .expect("planner built above")
-            .plan_on(risks, budget, pool)
-    }
-
-    /// Steps every member once, concurrently when the pool has more than
-    /// one worker. Results land in per-member slots, so the outcome is
-    /// identical to serial stepping regardless of worker count.
+    /// Steps every member once on [`FleetRuntime::pool_size`] threads:
+    /// the calling thread plus scoped helpers, all claiming members from
+    /// one shared iterator, so a slow member never stalls a fixed chunk.
+    /// Each thread returns its records tagged by member index; sorting
+    /// by index makes the outcome identical to serial stepping at every
+    /// worker count. A member whose step panics does not stop the
+    /// others: every member steps, then the lowest-index failure — a
+    /// panic, re-raised here, or an error — is reported.
     fn step_members(&mut self, tick: &Tick, dt: f64) -> Result<Vec<TickRecord>> {
-        let n = self.managers.len();
-        let workers = self.workers.min(n);
-        if workers <= 1 {
-            return self.managers.iter_mut().map(|m| m.step(tick, dt)).collect();
-        }
-        self.ensure_pool(workers);
-        let pool = self.pool.as_ref().expect("ensure_pool built a pool");
-        let mut slots: Vec<Option<Result<TickRecord>>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        {
-            let out = Slots::new(&mut slots);
-            let members = SharedMut::new(&mut self.managers);
-            let next = AtomicUsize::new(0);
-            pool.run(&|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= members.len() {
-                    break;
-                }
-                // SAFETY: the claim counter hands `i` to exactly one
-                // pool thread; every index writes only its own slot.
-                let manager = unsafe { members.get_mut(i) };
-                let record = manager.step(tick, dt);
-                unsafe { out.put(i, record) };
-            });
-        }
-        slots
+        let threads = self.pool_size();
+        let claims = Mutex::new(self.managers.iter_mut().enumerate());
+        let claim_loop = || {
+            let mut stepped = Vec::new();
+            loop {
+                // The lock guards only the claim, never a member's step,
+                // and `next` cannot panic, so it is never poisoned.
+                let claim = claims
+                    .lock()
+                    .expect("the claim lock is never poisoned")
+                    .next();
+                let Some((i, manager)) = claim else {
+                    return stepped;
+                };
+                stepped.push((i, catch_unwind(AssertUnwindSafe(|| manager.step(tick, dt)))));
+            }
+        };
+        let mut stepped = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(claim_loop)).collect();
+            let mut stepped = claim_loop();
+            for helper in helpers {
+                stepped.extend(
+                    helper
+                        .join()
+                        .unwrap_or_else(|payload| resume_unwind(payload)),
+                );
+            }
+            stepped
+        });
+        stepped.sort_unstable_by_key(|&(i, _)| i);
+        stepped
             .into_iter()
-            .map(|s| s.expect("every member slot is filled by its worker"))
+            .map(|(_, outcome)| outcome.unwrap_or_else(|payload| resume_unwind(payload)))
             .collect()
     }
 
@@ -588,7 +531,7 @@ impl FleetRuntime {
                 .then(a.event.seq.cmp(&b.event.seq))
         });
         Ok(FleetRunResult {
-            names: self.profiles.iter().map(|p| p.name.clone()).collect(),
+            names: self.profiles().iter().map(|p| p.name.clone()).collect(),
             ticks,
             trace,
         })

@@ -32,6 +32,7 @@
 //! from the bench bins).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod error;
 
@@ -45,7 +46,6 @@ pub mod manager;
 pub mod monitor;
 pub mod planner;
 pub mod plant;
-pub(crate) mod pool;
 pub mod policy;
 pub mod record;
 pub mod restore;

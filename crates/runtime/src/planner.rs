@@ -1,6 +1,5 @@
 //! The fleet budget planner: the from-scratch greedy oracle and the
-//! stateful dirty-set / bucketed / sharded incremental planner built on
-//! top of it.
+//! stateful dirty-set / bucketed planner built on top of it.
 //!
 //! [`plan_budget`] / [`plan_budget_prevalidated`] are the reference
 //! greedy — every member starts at full capacity and the planner
@@ -11,7 +10,7 @@
 //! members.
 //!
 //! [`FleetPlanner`] produces **byte-identical plans** at a fraction of
-//! the cost by exploiting three structural facts (DESIGN.md §15):
+//! the cost by exploiting two structural facts (DESIGN.md §15):
 //!
 //! 1. **Dirty-set** — a plan depends on risks only through each member's
 //!    *allowed band* (`envelope.max_level(risk)`). Risks are cached
@@ -25,22 +24,16 @@
 //!    index, so a bucket's whole state is a per-level occupancy count
 //!    plus its sorted member list, and the greedy iterates over buckets
 //!    with multiplicity instead of individuals.
-//! 3. **Partition sharding** — members are split into contiguous
-//!    partitions whose dirty scans and cap materialization run
-//!    independently (the fleet executor schedules them on its step
-//!    pool); the global greedy then runs over *all* partitions' buckets
-//!    at once, so partitioning is invisible in the result.
 //!
 //! Exactness is preserved move-for-move: tied buckets (same class,
-//! different band or partition — the common case) are advanced through a
-//! min-index-head "run" schedule that replays the scratch greedy's move
-//! order, including its float-exact sequential energy updates, and the
+//! different band — the common case) are advanced through a min-index
+//! head "run" schedule that replays the scratch greedy's move order,
+//! including its float-exact sequential energy updates, and the
 //! reported totals come from the same member-order final re-sum. The
 //! from-scratch-vs-incremental equivalence property test pins this.
 
 use crate::envelope::SafetyEnvelope;
 use crate::fleet::{BudgetPlan, FleetMember};
-use crate::pool::StepPool;
 use crate::{Result, RuntimeError};
 use reprune_platform::Joules;
 
@@ -232,8 +225,8 @@ impl ProfileClass {
     }
 }
 
-/// All members of one partition sharing a (profile class, allowed band):
-/// interchangeable in the greedy except for index-order ties.
+/// All members sharing a (profile class, allowed band): interchangeable
+/// in the greedy except for index-order ties.
 #[derive(Debug, Clone)]
 struct Bucket {
     class: usize,
@@ -254,53 +247,39 @@ impl Bucket {
     }
 }
 
-/// One contiguous shard of the fleet with its own bucket table; dirty
-/// scans and cap materialization touch only partition-local state, which
-/// is what lets the fleet executor fan them out on the step pool.
-#[derive(Debug, Clone, Default)]
-struct Partition {
-    start: usize,
-    end: usize,
-    buckets: Vec<Bucket>,
+/// Moves `member` into the bucket keyed `(class, allowed)`, creating it
+/// if needed. `ids` stay sorted (binary insertion).
+fn insert(buckets: &mut Vec<Bucket>, member: usize, class: usize, allowed: usize, levels: usize) {
+    match buckets
+        .iter_mut()
+        .find(|b| b.class == class && b.allowed == allowed)
+    {
+        Some(b) => {
+            let pos = b.ids.partition_point(|&id| id < member);
+            b.ids.insert(pos, member);
+        }
+        None => buckets.push(Bucket {
+            class,
+            allowed,
+            ids: vec![member],
+            counts: vec![0; levels],
+        }),
+    }
 }
 
-impl Partition {
-    /// Moves `member` into the bucket keyed `(class, allowed)`, creating
-    /// it if needed. `ids` stay sorted (binary insertion).
-    fn insert(&mut self, member: usize, class: usize, allowed: usize, levels: usize) {
-        match self
-            .buckets
-            .iter_mut()
-            .find(|b| b.class == class && b.allowed == allowed)
-        {
-            Some(b) => {
-                let pos = b.ids.partition_point(|&id| id < member);
-                b.ids.insert(pos, member);
-            }
-            None => self.buckets.push(Bucket {
-                class,
-                allowed,
-                ids: vec![member],
-                counts: vec![0; levels],
-            }),
-        }
-    }
-
-    /// Removes `member` from the bucket keyed `(class, allowed)`,
-    /// dropping the bucket when it empties.
-    fn remove(&mut self, member: usize, class: usize, allowed: usize) {
-        let idx = self
-            .buckets
-            .iter()
-            .position(|b| b.class == class && b.allowed == allowed)
-            .expect("member's cached bucket exists");
-        let b = &mut self.buckets[idx];
-        let pos = b.ids.partition_point(|&id| id < member);
-        debug_assert_eq!(b.ids.get(pos), Some(&member));
-        b.ids.remove(pos);
-        if b.ids.is_empty() {
-            self.buckets.swap_remove(idx);
-        }
+/// Removes `member` from the bucket keyed `(class, allowed)`, dropping
+/// the bucket when it empties.
+fn remove(buckets: &mut Vec<Bucket>, member: usize, class: usize, allowed: usize) {
+    let idx = buckets
+        .iter()
+        .position(|b| b.class == class && b.allowed == allowed)
+        .expect("member's cached bucket exists");
+    let b = &mut buckets[idx];
+    let pos = b.ids.partition_point(|&id| id < member);
+    debug_assert_eq!(b.ids.get(pos), Some(&member));
+    b.ids.remove(pos);
+    if b.ids.is_empty() {
+        buckets.swap_remove(idx);
     }
 }
 
@@ -311,8 +290,6 @@ impl Partition {
 pub struct PlannerStats {
     /// Fleet size.
     pub members: usize,
-    /// Partition shards the planner maintains.
-    pub partitions: usize,
     /// Members whose risk changed bitwise on the last call (re-validated
     /// and re-banded).
     pub dirty_members: usize,
@@ -360,8 +337,9 @@ pub struct FleetPlanner {
     classes: Vec<ProfileClass>,
     class_of: Vec<usize>,
     risks: Vec<RiskSlot>,
-    partitions: Vec<Partition>,
-    partition_size: usize,
+    /// One bucket table for the whole fleet: the dirty scan, the greedy
+    /// and cap materialization all work on it.
+    buckets: Vec<Bucket>,
     /// Member-order sum of level-0 energies — the scratch greedy's exact
     /// starting energy.
     full_energy: f64,
@@ -375,42 +353,23 @@ struct CachedPlan {
     plan: BudgetPlan,
 }
 
-/// Default members per partition shard.
-const PARTITION_SIZE: usize = 2048;
-
 impl FleetPlanner {
-    /// Builds a planner over a validated fleet with the default shard
-    /// size.
+    /// Builds a planner over a validated fleet.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::BadConfig`] if the fleet is empty or any
     /// member fails [`FleetMember::validate`].
     pub fn new(members: Vec<FleetMember>) -> Result<Self> {
-        Self::with_partition_size(members, PARTITION_SIZE)
-    }
-
-    /// [`FleetPlanner::new`] with an explicit partition shard size
-    /// (members per shard, clamped to at least 1). Tests force tiny
-    /// shards to exercise the cross-partition merge; the plan is
-    /// byte-identical for every shard size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::BadConfig`] if the fleet is empty or any
-    /// member fails [`FleetMember::validate`].
-    pub fn with_partition_size(members: Vec<FleetMember>, partition_size: usize) -> Result<Self> {
         if members.is_empty() {
             return Err(RuntimeError::bad_config("fleet is empty"));
         }
-        let partition_size = partition_size.max(1);
         let mut planner = FleetPlanner {
             members,
             classes: Vec::new(),
             class_of: Vec::new(),
             risks: Vec::new(),
-            partitions: Vec::new(),
-            partition_size,
+            buckets: Vec::new(),
             full_energy: 0.0,
             cached: None,
             stats: PlannerStats::default(),
@@ -422,11 +381,6 @@ impl FleetPlanner {
     /// The member profiles, fleet order.
     pub fn members(&self) -> &[FleetMember] {
         &self.members
-    }
-
-    /// Number of partition shards.
-    pub fn partitions(&self) -> usize {
-        self.partitions.len()
     }
 
     /// Planning statistics for the most recent call (plus lifetime cache
@@ -453,11 +407,9 @@ impl FleetPlanner {
         }
         member.validate()?;
         let old_class = self.class_of[index];
-        let old_levels = self.classes[old_class].energy.len();
         let new_class = self.class_index(&member);
         let new_levels = self.classes[new_class].energy.len();
         self.members[index] = member;
-        let p = index / self.partition_size;
         let slot = self.risks[index];
         if slot.valid {
             // Re-band the cached risk under the (possibly new) envelope
@@ -465,9 +417,8 @@ impl FleetPlanner {
             // profile swap so planner state never skews.
             let risk = f64::from_bits(slot.bits);
             let allowed = self.classes[new_class].envelope.max_level(risk);
-            self.partitions[p].remove(index, old_class, slot.allowed);
-            let _ = old_levels;
-            self.partitions[p].insert(index, new_class, allowed, new_levels);
+            remove(&mut self.buckets, index, old_class, slot.allowed);
+            insert(&mut self.buckets, index, new_class, allowed, new_levels);
             self.risks[index].allowed = allowed;
         }
         self.class_of[index] = new_class;
@@ -511,19 +462,11 @@ impl FleetPlanner {
             };
             n
         ];
-        let shards = n.div_ceil(self.partition_size);
-        self.partitions = (0..shards)
-            .map(|p| Partition {
-                start: p * self.partition_size,
-                end: ((p + 1) * self.partition_size).min(n),
-                buckets: Vec::new(),
-            })
-            .collect();
+        self.buckets.clear();
         self.full_energy = self.members.iter().map(|m| m.energy_per_level[0].0).sum();
         self.cached = None;
         self.stats = PlannerStats {
             members: n,
-            partitions: shards,
             ..PlannerStats::default()
         };
         Ok(())
@@ -542,19 +485,6 @@ impl FleetPlanner {
     /// the scratch planner). A failed call leaves the planner consistent;
     /// re-planning with corrected risks recovers.
     pub fn plan(&mut self, risks: &[f64], budget: Option<Joules>) -> Result<BudgetPlan> {
-        self.plan_on(risks, budget, None)
-    }
-
-    /// [`FleetPlanner::plan`] with the partition phases (dirty scan, cap
-    /// materialization) fanned out on a step pool. The greedy itself runs
-    /// on the calling thread over all partitions' buckets, so the result
-    /// is byte-identical to the serial path.
-    pub(crate) fn plan_on(
-        &mut self,
-        risks: &[f64],
-        budget: Option<Joules>,
-        pool: Option<&StepPool>,
-    ) -> Result<BudgetPlan> {
         let n = self.members.len();
         if risks.len() != n {
             return Err(RuntimeError::bad_config(format!(
@@ -562,18 +492,13 @@ impl FleetPlanner {
                 risks.len()
             )));
         }
-        let scanned = match pool {
-            Some(pool) if self.partitions.len() > 1 => self.scan_risks_pooled(risks, pool),
-            _ => self.scan_risks_serial(risks),
-        };
-        let (dirty, moved) = match scanned {
+        let (dirty, moved) = match self.scan_risks(risks) {
             Ok(counts) => counts,
             Err(e) => {
-                // A failed scan may have re-banded some members before (or,
-                // pooled, concurrently with) the rejected one. The bucket
-                // state is still consistent, but the cached plan no longer
-                // describes it — drop it so a later "quiet" tick cannot
-                // serve a stale plan.
+                // A failed scan may have re-banded some members before the
+                // rejected one. The bucket state is still consistent, but
+                // the cached plan no longer describes it — drop it so a
+                // later "quiet" tick cannot serve a stale plan.
                 self.cached = None;
                 return Err(e);
             }
@@ -593,16 +518,12 @@ impl FleetPlanner {
         }
         self.stats.cache_hit = false;
 
-        // The greedy over buckets — the "global re-balancer": one exact
-        // pass over every partition's buckets at once.
         if let Some(b) = budget {
             self.greedy(b.0);
         } else {
-            for p in &mut self.partitions {
-                for bucket in &mut p.buckets {
-                    bucket.counts.fill(0);
-                    bucket.counts[0] = bucket.ids.len();
-                }
+            for bucket in &mut self.buckets {
+                bucket.counts.fill(0);
+                bucket.counts[0] = bucket.ids.len();
             }
         }
 
@@ -610,13 +531,12 @@ impl FleetPlanner {
         // (deepest levels to lowest member ids), then re-sum totals in
         // exact member order — the scratch planner's final `total`.
         let mut levels = vec![0usize; n];
-        match pool {
-            Some(pool) if self.partitions.len() > 1 => {
-                self.materialize_pooled(&mut levels, pool);
-            }
-            _ => {
-                for p in 0..self.partitions.len() {
-                    self.materialize_partition(p, &mut levels);
+        for b in &self.buckets {
+            let mut pos = 0usize;
+            for l in (0..b.counts.len()).rev() {
+                for _ in 0..b.counts[l] {
+                    levels[b.ids[pos]] = l;
+                    pos += 1;
                 }
             }
         }
@@ -641,132 +561,56 @@ impl FleetPlanner {
         Ok(plan)
     }
 
-    /// Serial dirty scan: re-validate and re-band every member whose risk
-    /// changed bitwise. Returns `(dirty, moved)` counts.
-    fn scan_risks_serial(&mut self, risks: &[f64]) -> Result<(usize, usize)> {
+    /// The dirty scan: re-validates and re-bands every member whose risk
+    /// changed bitwise, returning `(dirty, moved)` counts. The cached
+    /// risk, band and bucket slot move together per member, so an error
+    /// part-way through leaves every already-processed member fully
+    /// consistent.
+    fn scan_risks(&mut self, risks: &[f64]) -> Result<(usize, usize)> {
         let mut dirty = 0;
         let mut moved = 0;
-        for partition in &mut self.partitions {
-            let (d, m) = scan_partition(
-                partition,
-                &mut self.risks[partition.start..partition.end],
-                &risks[partition.start..partition.end],
-                &self.members,
-                &self.classes,
-                &self.class_of,
-            )?;
-            dirty += d;
-            moved += m;
+        for (i, (slot, &risk)) in self.risks.iter_mut().zip(risks).enumerate() {
+            let bits = risk.to_bits();
+            if slot.valid && slot.bits == bits {
+                continue;
+            }
+            // Same rejection (and message) as the scratch planner: a NaN
+            // risk would silently grant the most pruned level via
+            // `max_level`.
+            if !risk.is_finite() || risk < 0.0 {
+                return Err(RuntimeError::bad_config(format!(
+                    "{}: risk {risk} must be finite and non-negative",
+                    self.members[i].name
+                )));
+            }
+            let class = self.class_of[i];
+            let allowed = self.classes[class].envelope.max_level(risk);
+            let levels = self.classes[class].energy.len();
+            if !slot.valid {
+                insert(&mut self.buckets, i, class, allowed, levels);
+                moved += 1;
+            } else if slot.allowed != allowed {
+                remove(&mut self.buckets, i, class, slot.allowed);
+                insert(&mut self.buckets, i, class, allowed, levels);
+                moved += 1;
+            }
+            *slot = RiskSlot {
+                bits,
+                allowed,
+                valid: true,
+            };
+            dirty += 1;
         }
         Ok((dirty, moved))
-    }
-
-    /// Pooled dirty scan: each pool thread claims whole partitions and
-    /// re-bands their members independently — every write (risk slots,
-    /// bucket tables) is partition-local. The lowest-member-index error
-    /// wins, matching the serial scan.
-    fn scan_risks_pooled(&mut self, risks: &[f64], pool: &StepPool) -> Result<(usize, usize)> {
-        let shards = self.partitions.len();
-        let mut results: Vec<Option<Result<(usize, usize)>>> = Vec::with_capacity(shards);
-        results.resize_with(shards, || None);
-        // Split the per-member risk cache into per-partition slices up
-        // front so each worker owns its shard's slice outright.
-        let mut slot_slices: Vec<&mut [RiskSlot]> = Vec::with_capacity(shards);
-        let mut rest: &mut [RiskSlot] = &mut self.risks;
-        for p in &self.partitions {
-            let (head, tail) = rest.split_at_mut(p.end - p.start);
-            slot_slices.push(head);
-            rest = tail;
-        }
-        let (members, classes, class_of) = (&self.members, &self.classes, &self.class_of);
-        {
-            let out = crate::pool::Slots::new(&mut results);
-            let parts = crate::pool::SharedMut::new(&mut self.partitions);
-            let slots = crate::pool::SharedMut::new(&mut slot_slices);
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            pool.run(&|| loop {
-                let p = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if p >= shards {
-                    break;
-                }
-                // SAFETY: the claim counter hands partition `p` to exactly
-                // one worker; `parts[p]` and `slots[p]` are disjoint
-                // per-partition state, and `risks` is only read.
-                let partition = unsafe { parts.get_mut(p) };
-                let slot_slice = unsafe { slots.get_mut(p) };
-                let scanned = scan_partition(
-                    partition,
-                    slot_slice,
-                    &risks[partition.start..partition.end],
-                    members,
-                    classes,
-                    class_of,
-                );
-                unsafe { out.put(p, scanned) };
-            });
-        }
-        let mut dirty = 0;
-        let mut moved = 0;
-        for r in results {
-            // Partitions cover ascending member ranges, so the first
-            // shard with an error holds the lowest failing member index.
-            let (d, m) = r.expect("every shard scan slot is filled")?;
-            dirty += d;
-            moved += m;
-        }
-        Ok((dirty, moved))
-    }
-
-    /// Writes one partition's final bucket counts into the shared cap
-    /// vector (ids are partition-local, so writes are disjoint across
-    /// partitions).
-    fn materialize_partition(&self, p: usize, levels: &mut [usize]) {
-        for b in &self.partitions[p].buckets {
-            let mut pos = 0usize;
-            for l in (0..b.counts.len()).rev() {
-                for _ in 0..b.counts[l] {
-                    levels[b.ids[pos]] = l;
-                    pos += 1;
-                }
-            }
-        }
-    }
-
-    /// Cap materialization fanned out per partition on the pool.
-    fn materialize_pooled(&self, levels: &mut [usize], pool: &StepPool) {
-        let shards = self.partitions.len();
-        let out = crate::pool::SharedMut::new(levels);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        pool.run(&|| loop {
-            let p = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if p >= shards {
-                break;
-            }
-            for b in &self.partitions[p].buckets {
-                let mut pos = 0usize;
-                for l in (0..b.counts.len()).rev() {
-                    for _ in 0..b.counts[l] {
-                        // SAFETY: bucket ids lie inside this partition's
-                        // member range; partitions are disjoint, and each
-                        // partition index is claimed by exactly one
-                        // worker.
-                        unsafe { *out.get_mut(b.ids[pos]) = l };
-                        pos += 1;
-                    }
-                }
-            }
-        });
     }
 
     /// The exact bucket greedy: replays the scratch planner's move order
     /// (including index-order tie resolution and per-move sequential
     /// energy subtraction) over bucket counts instead of individuals.
     fn greedy(&mut self, budget: f64) {
-        for p in &mut self.partitions {
-            for b in &mut p.buckets {
-                b.counts.fill(0);
-                b.counts[0] = b.ids.len();
-            }
+        for b in &mut self.buckets {
+            b.counts.fill(0);
+            b.counts[0] = b.ids.len();
         }
         let mut energy = self.full_energy;
         // Candidate buckets at the current plateau score: each
@@ -774,7 +618,6 @@ impl FleetPlanner {
         // bucket's lowest-index maximizer) and that head's member id.
         // `multi` marks buckets with more than one level at the score.
         struct Cand {
-            p: usize,
             b: usize,
             level: usize,
             head: usize,
@@ -789,35 +632,32 @@ impl FleetPlanner {
             let mut best: Option<f64> = None;
             let mut s_bits = 0u64;
             cands.clear();
-            for (pi, p) in self.partitions.iter().enumerate() {
-                for (bi, b) in p.buckets.iter().enumerate() {
-                    let scores = &self.classes[b.class].scores;
-                    let mut deepest: Option<usize> = None;
-                    let mut matches = 0usize;
-                    for (l, &s) in scores.iter().enumerate().take(b.allowed) {
-                        if b.counts[l] == 0 {
-                            continue;
-                        }
-                        if best.is_none_or(|bs| s > bs) {
-                            best = Some(s);
-                            s_bits = s.to_bits();
-                            cands.clear();
-                            deepest = Some(l);
-                            matches = 1;
-                        } else if s.to_bits() == s_bits {
-                            deepest = Some(l);
-                            matches += 1;
-                        }
+            for (bi, b) in self.buckets.iter().enumerate() {
+                let scores = &self.classes[b.class].scores;
+                let mut deepest: Option<usize> = None;
+                let mut matches = 0usize;
+                for (l, &s) in scores.iter().enumerate().take(b.allowed) {
+                    if b.counts[l] == 0 {
+                        continue;
                     }
-                    if let Some(level) = deepest {
-                        cands.push(Cand {
-                            p: pi,
-                            b: bi,
-                            level,
-                            head: b.ids[b.offset(level)],
-                            multi: matches > 1,
-                        });
+                    if best.is_none_or(|bs| s > bs) {
+                        best = Some(s);
+                        s_bits = s.to_bits();
+                        cands.clear();
+                        deepest = Some(l);
+                        matches = 1;
+                    } else if s.to_bits() == s_bits {
+                        deepest = Some(l);
+                        matches += 1;
                     }
+                }
+                if let Some(level) = deepest {
+                    cands.push(Cand {
+                        b: bi,
+                        level,
+                        head: b.ids[b.offset(level)],
+                        multi: matches > 1,
+                    });
                 }
             }
             let Some(s) = best else { break };
@@ -833,7 +673,7 @@ impl FleetPlanner {
             let mut delta_bits: Option<u64> = None;
             let mut movable = 0usize;
             for c in &cands {
-                let b = &self.partitions[c.p].buckets[c.b];
+                let b = &self.buckets[c.b];
                 let class = &self.classes[b.class];
                 let nl = c.level + 1;
                 let continues = nl < b.allowed && {
@@ -856,7 +696,7 @@ impl FleetPlanner {
                 }
                 if moved == movable {
                     for c in &cands {
-                        let b = &mut self.partitions[c.p].buckets[c.b];
+                        let b = &mut self.buckets[c.b];
                         b.counts[c.level + 1] += b.counts[c.level];
                         b.counts[c.level] = 0;
                     }
@@ -870,7 +710,7 @@ impl FleetPlanner {
                 let mut heads: Vec<(usize, usize)> = cands
                     .iter()
                     .map(|c| {
-                        let b = &self.partitions[c.p].buckets[c.b];
+                        let b = &self.buckets[c.b];
                         (b.offset(c.level), b.counts[c.level])
                     })
                     .collect();
@@ -882,14 +722,14 @@ impl FleetPlanner {
                         if left == 0 {
                             continue;
                         }
-                        let id = self.partitions[c.p].buckets[c.b].ids[pos];
+                        let id = self.buckets[c.b].ids[pos];
                         if id < win {
                             win = id;
                             wi = i;
                         }
                     }
                     let c = &cands[wi];
-                    let b = &mut self.partitions[c.p].buckets[c.b];
+                    let b = &mut self.buckets[c.b];
                     b.counts[c.level] -= 1;
                     b.counts[c.level + 1] += 1;
                     heads[wi].0 += 1;
@@ -920,9 +760,8 @@ impl FleetPlanner {
                 else {
                     break; // plateau exhausted — rescan for the next score
                 };
-                let (p, b) = (cands[ci].p, cands[ci].b);
                 let mut lvl = cands[ci].level;
-                let bucket = &mut self.partitions[p].buckets[b];
+                let bucket = &mut self.buckets[cands[ci].b];
                 let class = &self.classes[bucket.class];
                 loop {
                     energy -= class.energy[lvl] - class.energy[lvl + 1];
@@ -958,57 +797,6 @@ impl FleetPlanner {
             }
         }
     }
-}
-
-/// Re-validates and re-bands one partition's members whose risks changed
-/// bitwise. `slots` and `risks` are partition-local slices (index `j`
-/// maps to fleet member `partition.start + j`); the cached risk, band,
-/// and bucket slot move together per member, so an error part-way
-/// through leaves every already-processed member fully consistent.
-fn scan_partition(
-    partition: &mut Partition,
-    slots: &mut [RiskSlot],
-    risks: &[f64],
-    members: &[FleetMember],
-    classes: &[ProfileClass],
-    class_of: &[usize],
-) -> Result<(usize, usize)> {
-    let mut dirty = 0;
-    let mut moved = 0;
-    for (j, slot) in slots.iter_mut().enumerate() {
-        let risk = risks[j];
-        let bits = risk.to_bits();
-        if slot.valid && slot.bits == bits {
-            continue;
-        }
-        let i = partition.start + j;
-        // Same rejection (and message) as the scratch planner: a NaN risk
-        // would silently grant the most pruned level via `max_level`.
-        if !risk.is_finite() || risk < 0.0 {
-            return Err(RuntimeError::bad_config(format!(
-                "{}: risk {risk} must be finite and non-negative",
-                members[i].name
-            )));
-        }
-        let class = class_of[i];
-        let allowed = classes[class].envelope.max_level(risk);
-        let levels = classes[class].energy.len();
-        if !slot.valid {
-            partition.insert(i, class, allowed, levels);
-            moved += 1;
-        } else if slot.allowed != allowed {
-            partition.remove(i, class, slot.allowed);
-            partition.insert(i, class, allowed, levels);
-            moved += 1;
-        }
-        *slot = RiskSlot {
-            bits,
-            allowed,
-            valid: true,
-        };
-        dirty += 1;
-    }
-    Ok((dirty, moved))
 }
 
 #[cfg(test)]
@@ -1236,7 +1024,7 @@ mod tests {
     #[test]
     fn incremental_matches_scratch_across_budget_sweep() {
         let (members, risks) = synth(23);
-        let mut planner = FleetPlanner::with_partition_size(members.clone(), 4).unwrap();
+        let mut planner = FleetPlanner::new(members.clone()).unwrap();
         let dense: f64 = members.iter().map(|m| m.energy_per_level[0].0).sum();
         for frac in [1.1, 1.0, 0.8, 0.61, 0.4, 0.2, 0.05, 0.0] {
             let budget = Some(Joules(dense * frac));
@@ -1251,7 +1039,7 @@ mod tests {
     #[test]
     fn incremental_matches_scratch_across_risk_mutations() {
         let (members, mut risks) = synth(17);
-        let mut planner = FleetPlanner::with_partition_size(members.clone(), 3).unwrap();
+        let mut planner = FleetPlanner::new(members.clone()).unwrap();
         let budget = Some(Joules(40.0));
         for step in 0..30usize {
             let i = (step * 7) % risks.len();
@@ -1291,7 +1079,7 @@ mod tests {
     #[test]
     fn failed_risk_validation_leaves_planner_recoverable() {
         let (members, mut risks) = synth(9);
-        let mut planner = FleetPlanner::with_partition_size(members.clone(), 2).unwrap();
+        let mut planner = FleetPlanner::new(members.clone()).unwrap();
         let budget = Some(Joules(30.0));
         planner.plan(&risks, budget).unwrap();
         let good = risks.clone();
@@ -1330,24 +1118,5 @@ mod tests {
         let mut m = perception();
         m.utility_per_level[2] = f64::NAN;
         assert!(m.validate().is_err(), "validate rejects NaN utility");
-    }
-
-    #[test]
-    fn partition_size_is_invisible_in_the_plan() {
-        let (members, mut risks) = synth(29);
-        let budget = Some(Joules(100.0));
-        let mut whole = FleetPlanner::with_partition_size(members.clone(), 64).unwrap();
-        let mut shard2 = FleetPlanner::with_partition_size(members.clone(), 2).unwrap();
-        let mut shard5 = FleetPlanner::with_partition_size(members, 5).unwrap();
-        for step in 0..12usize {
-            let i = (step * 11) % risks.len();
-            risks[i] = ((step * 5) % 10) as f64 * 0.05;
-            let a = whole.plan(&risks, budget).unwrap();
-            let b = shard2.plan(&risks, budget).unwrap();
-            let c = shard5.plan(&risks, budget).unwrap();
-            assert_eq!(a, b, "step {step}");
-            assert_eq!(a, c, "step {step}");
-        }
-        assert!(shard2.partitions() > 1);
     }
 }

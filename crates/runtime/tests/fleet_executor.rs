@@ -1,5 +1,10 @@
 //! End-to-end tests of the concurrent fleet executor: arbitration
-//! safety, pooled-vs-serial equivalence, and shared-weight accounting.
+//! safety and exactness, pooled-vs-serial equivalence, panic
+//! propagation, and shared-weight accounting.
+
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 use reprune_nn::{models, Network};
 use reprune_platform::Joules;
@@ -7,8 +12,11 @@ use reprune_prune::{LadderConfig, PruneCriterion, SparsityLadder};
 use reprune_runtime::envelope::SafetyEnvelope;
 use reprune_runtime::manager::{RuntimeManager, RuntimeManagerConfig};
 use reprune_runtime::policy::Policy;
-use reprune_runtime::FleetRuntime;
-use reprune_scenario::{Scenario, ScenarioConfig};
+use reprune_runtime::{
+    plan_budget_prevalidated, BudgetPlan, Directive, Execute, FleetRuntime, FleetTickRecord,
+    Knowledge, Plant, RestoreChain, TickTrace,
+};
+use reprune_scenario::{Scenario, ScenarioConfig, Tick};
 
 /// Utility profile matching the 4-level ladder below.
 const UTILITY: [f64; 4] = [0.95, 0.93, 0.88, 0.60];
@@ -74,58 +82,94 @@ fn pooled_and_serial_stepping_agree_exactly() {
     assert_eq!(a.trace, b.trace, "merged traces must be identical too");
 }
 
+/// Steps `f` through `sc` with per-member risks spread around the
+/// scenario's shared risk (so members sit in different bands) and a
+/// budget shrinking from `dense` to 40% of it, checking every tick's
+/// arbitration against the from-scratch oracle on the fleet's current
+/// profiles. `before_tick` runs ahead of each step and may mutate the
+/// fleet; `on_plan` sees each tick's risks, budget and plan. At tick
+/// `nan_at`, a step with one NaN risk must be rejected first.
+fn step_against_oracle(
+    f: &mut FleetRuntime,
+    sc: &Scenario,
+    dense: f64,
+    nan_at: Option<usize>,
+    mut before_tick: impl FnMut(&mut FleetRuntime, usize),
+    mut on_plan: impl FnMut(usize, &[f64], Option<Joules>, &BudgetPlan),
+) -> Vec<FleetTickRecord> {
+    let dt = sc.config().dt_s;
+    let n = f.len();
+    let n_ticks = sc.ticks().len();
+    let mut ticks = Vec::new();
+    for (k, tick) in sc.ticks().iter().enumerate() {
+        before_tick(f, k);
+        let risks: Vec<f64> = (0..n).map(|i| tick.risk * (0.5 + 0.5 * i as f64)).collect();
+        let budget = Some(Joules(dense * (1.0 - 0.6 * k as f64 / n_ticks as f64)));
+        if nan_at == Some(k) {
+            let mut bad = risks.clone();
+            bad[n - 1] = f64::NAN;
+            assert!(
+                f.step_with_risks(tick, dt, &bad, budget).is_err(),
+                "tick {k}: a NaN risk must be rejected"
+            );
+        }
+        let rec = f.step_with_risks(tick, dt, &risks, budget).unwrap();
+        let oracle = plan_budget_prevalidated(f.profiles(), &risks, budget).unwrap();
+        assert_eq!(rec.plan, oracle, "tick {k}: the planner matches the oracle");
+        on_plan(k, &risks, budget, &rec.plan);
+        ticks.push(rec);
+    }
+    ticks
+}
+
+fn dense_draw(f: &FleetRuntime) -> f64 {
+    f.profiles().iter().map(|p| p.energy_per_level[0].0).sum()
+}
+
+/// The fleet's dirty-set planner, run live at one and four workers
+/// under a shrinking budget, arbitrates every tick exactly as the
+/// from-scratch oracle does, and a tick rejected for a NaN risk leaves
+/// the next tick's plan exact too.
 #[test]
 fn incremental_planner_run_is_byte_identical_to_scratch() {
     let net = models::default_perception_cnn(21).expect("model");
     let sc = scenario(7);
-    // A shrinking budget keeps the arbiter busy; shared tick risk means
-    // quiet stretches where the dirty-set planner should be caching.
-    let mut scratch = fleet(&net, Policy::Oracle, 4);
-    scratch.set_workers(1);
-    let a = scratch
-        .run_with(&sc, |t| Some(Joules(10.0 - 0.02 * t.t)))
-        .unwrap();
-
+    let mut runs = Vec::new();
     for workers in [1usize, 4] {
-        let mut inc = fleet(&net, Policy::Oracle, 4);
-        inc.set_workers(workers);
-        inc.set_incremental_planner(true);
-        assert!(inc.incremental_planner());
-        let b = inc
-            .run_with(&sc, |t| Some(Joules(10.0 - 0.02 * t.t)))
-            .unwrap();
-        assert_eq!(a.names, b.names);
+        let mut f = fleet(&net, Policy::Oracle, 4);
+        f.set_workers(workers);
+        let dense = dense_draw(&f);
+        let ticks = step_against_oracle(&mut f, &sc, dense, Some(5), |_, _| {}, |_, _, _, _| {});
         assert_eq!(
-            a.ticks, b.ticks,
-            "incremental planning ({workers} workers) must match scratch records"
+            f.planner_stats().plans,
+            sc.ticks().len() as u64,
+            "{workers} workers: one plan per good tick"
         );
-        assert_eq!(a.trace, b.trace, "merged traces must be identical too");
-        let stats = inc.planner_stats().expect("planner ran");
-        assert!(stats.plans > 0, "the incremental planner actually planned");
         assert!(
-            inc.last_plan_seconds() >= 0.0,
-            "plan timing is recorded in incremental mode"
+            f.last_plan_seconds() >= 0.0,
+            "{workers} workers: plan timing is recorded"
         );
+        runs.push(ticks);
     }
+    assert_eq!(runs[0], runs[1], "worker count must not change any record");
 }
 
+/// A mid-run energy reprofile of member 1 reaches the planner in both
+/// stepping modes, serial (one worker, nothing spawned) and scoped
+/// threads (four workers): every later plan matches the oracle on the
+/// updated profiles, and some differ from the oracle on the old ones.
 #[test]
 fn reprofiled_member_dirties_the_planner_in_both_modes() {
     let net = models::default_perception_cnn(29).expect("model");
     let sc = scenario(13);
-    let dt = sc.config().dt_s;
-    // A budget just below the dense draw forces the arbiter to make a
-    // small cut every tick — exactly where a cheaper level-1 profile on
-    // one member changes which cut wins.
-    let dense: f64 = fleet(&net, Policy::NoPruning, 3)
-        .profiles()
-        .iter()
-        .map(|p| p.energy_per_level[0].0)
-        .sum();
-    let budget = Some(Joules(dense * 0.97));
-    let drive = |f: &mut FleetRuntime| {
-        let mut ticks = Vec::new();
-        for (k, tick) in sc.ticks().iter().enumerate() {
+    let mut runs = Vec::new();
+    for workers in [1usize, 4] {
+        let mut f = fleet(&net, Policy::NoPruning, 3);
+        f.set_workers(workers);
+        let original = f.profiles().to_vec();
+        let dense = dense_draw(&f);
+        let mut reprofile_visible = false;
+        let reprofile = |f: &mut FleetRuntime, k: usize| {
             if k == 3 {
                 // Mid-run recalibration: member 1's level-1 energy drops
                 // halfway toward its level-2 cost (staying strictly
@@ -134,39 +178,130 @@ fn reprofiled_member_dirties_the_planner_in_both_modes() {
                 let mid = Joules((lk[1].inference.energy.0 + lk[2].inference.energy.0) / 2.0);
                 f.manager_mut(1).reprofile_level_energy(1, mid).unwrap();
             }
-            ticks.push(f.step_all(tick, dt, budget).unwrap());
+        };
+        let ticks = step_against_oracle(
+            &mut f,
+            &sc,
+            dense,
+            None,
+            reprofile,
+            |k, risks, budget, plan| {
+                if k >= 3 {
+                    reprofile_visible |=
+                        plan_budget_prevalidated(&original, risks, budget).unwrap() != *plan;
+                }
+            },
+        );
+        assert!(
+            reprofile_visible,
+            "{workers} workers: the cheaper level-1 profile must move the arbitration on some tick"
+        );
+        assert_eq!(
+            f.profiles()[1].energy_per_level[1],
+            f.manager(1).knowledge()[1].inference.energy,
+            "the fleet profile tracks the reprofiled knowledge"
+        );
+        // An out-of-range reprofile is rejected at the mutation edge.
+        assert!(f
+            .manager_mut(0)
+            .reprofile_level_energy(99, Joules(1.0))
+            .is_err());
+        runs.push(ticks);
+    }
+    assert_eq!(runs[0], runs[1], "worker count must not change any record");
+}
+
+/// An Execute stage whose every call panics.
+struct PanickingExecutor;
+
+const INJECTED: &str = "injected Execute failure";
+
+impl Execute for PanickingExecutor {
+    fn service_reload(
+        &mut self,
+        _: &mut Knowledge,
+        _: &mut Plant,
+        _: &RestoreChain,
+        _: &Tick,
+        _: &mut TickTrace,
+    ) -> reprune_runtime::Result<()> {
+        panic!("{INJECTED}")
+    }
+
+    fn service_restore(
+        &mut self,
+        _: &mut Knowledge,
+        _: &mut Plant,
+        _: &RestoreChain,
+        _: &Tick,
+        _: &mut TickTrace,
+    ) -> reprune_runtime::Result<()> {
+        panic!("{INJECTED}")
+    }
+
+    fn apply(
+        &mut self,
+        _: &mut Knowledge,
+        _: &mut Plant,
+        _: &RestoreChain,
+        _: &Directive,
+        _: &Tick,
+        _: f64,
+        _: &mut TickTrace,
+    ) -> reprune_runtime::Result<()> {
+        panic!("{INJECTED}")
+    }
+}
+
+/// One member's Execute stage panics on every tick: `step_all` must
+/// re-raise that panic on the calling thread rather than hang or lose
+/// it, and every other member must still have completed the tick. The
+/// 2-worker case repeats 200 times so the threads race through the
+/// failure path in many interleavings.
+#[test]
+fn a_panicking_member_fails_the_step_on_the_calling_thread() {
+    const MEMBERS: usize = 4;
+    const BAD: usize = 1;
+    let net = models::default_perception_cnn(28).expect("model");
+    for (workers, rounds) in [(1usize, 1usize), (2, 200), (4, 1)] {
+        let net = net.clone();
+        let (done_tx, done_rx) = mpsc::channel();
+        // The test body runs on its own thread so that a hang fails the
+        // test instead of stalling it.
+        let body = std::thread::spawn(move || {
+            let sc = scenario(14);
+            let dt = sc.config().dt_s;
+            let mut f = fleet(&net, Policy::Oracle, MEMBERS);
+            f.set_workers(workers);
+            f.manager_mut(BAD).set_executor(Box::new(PanickingExecutor));
+            for round in 0..rounds {
+                let before: Vec<usize> = (0..MEMBERS).map(|i| f.manager(i).ticks_done()).collect();
+                let tick = &sc.ticks()[round % sc.ticks().len()];
+                let payload = catch_unwind(AssertUnwindSafe(|| f.step_all(tick, dt, None)))
+                    .expect_err("the member's panic must propagate");
+                assert_eq!(
+                    payload.downcast_ref::<String>().map(String::as_str),
+                    Some(INJECTED),
+                    "{workers} workers, round {round}: the calling thread re-raises the member's own panic"
+                );
+                for (i, &was) in before.iter().enumerate() {
+                    let want = if i == BAD { was } else { was + 1 };
+                    assert_eq!(
+                        f.manager(i).ticks_done(),
+                        want,
+                        "{workers} workers, round {round}: member {i} tick count"
+                    );
+                }
+            }
+            done_tx.send(()).expect("the test thread is waiting");
+        });
+        if let Err(RecvTimeoutError::Timeout) = done_rx.recv_timeout(Duration::from_secs(300)) {
+            panic!("{workers} workers: step_all hung");
         }
-        ticks
-    };
-
-    let mut scratch = fleet(&net, Policy::NoPruning, 3);
-    scratch.set_workers(1);
-    let a = drive(&mut scratch);
-
-    let mut inc = fleet(&net, Policy::NoPruning, 3);
-    inc.set_workers(1);
-    inc.set_incremental_planner(true);
-    let b = drive(&mut inc);
-
-    assert_eq!(a, b, "a reprofile must land identically in both modes");
-    // The reprofile visibly moved the arbitration: member 1's halved
-    // level-1 cost makes pruning it the best first move under a budget
-    // that previously split the cut differently.
-    assert!(
-        a.iter().any(|t| t.plan.levels[1] > 0),
-        "the cheaper level-1 profile must attract the arbiter"
-    );
-    let updated = inc.profiles()[1].energy_per_level[1];
-    assert_eq!(
-        updated,
-        inc.manager(1).knowledge()[1].inference.energy,
-        "the fleet profile tracks the reprofiled knowledge"
-    );
-    // An out-of-range reprofile is rejected at the mutation edge.
-    assert!(inc
-        .manager_mut(0)
-        .reprofile_level_energy(99, Joules(1.0))
-        .is_err());
+        if let Err(failure) = body.join() {
+            resume_unwind(failure);
+        }
+    }
 }
 
 #[test]
@@ -197,7 +332,11 @@ fn arbitration_never_violates_any_members_envelope() {
             );
         }
     }
-    assert_eq!(r.violations(), 0, "oracle fleet under arbitration stays safe");
+    assert_eq!(
+        r.violations(),
+        0,
+        "oracle fleet under arbitration stays safe"
+    );
 }
 
 #[test]
@@ -216,7 +355,9 @@ fn budget_floor_drives_members_the_policy_would_leave_dense() {
         .iter()
         .map(|p| p.energy_per_level[0].0)
         .sum();
-    let tight = squeezed.run(&scenario(9), Some(Joules(dense * 0.5))).unwrap();
+    let tight = squeezed
+        .run(&scenario(9), Some(Joules(dense * 0.5)))
+        .unwrap();
     assert!(
         (0..3).any(|i| tight.mean_level(i) > 0.0),
         "a tight budget must push some member down the ladder"
@@ -308,8 +449,7 @@ fn fleet_records_are_internally_consistent() {
     for pair in r.trace.windows(2) {
         assert!(
             pair[0].event.t < pair[1].event.t
-                || (pair[0].event.t == pair[1].event.t
-                    && pair[0].member <= pair[1].member)
+                || (pair[0].event.t == pair[1].event.t && pair[0].member <= pair[1].member)
         );
     }
     // Both members contributed stage events.

@@ -171,7 +171,6 @@ proptest! {
     #[test]
     fn incremental_planner_matches_scratch_under_mutation_sequences(
         fleet in tied_fleet_strategy(),
-        partition_size in 1usize..6,
         steps in proptest::collection::vec(
             (0usize..1024, 0.0f64..1.0, 0.0f64..1.2, any::<bool>()),
             1..25,
@@ -184,8 +183,7 @@ proptest! {
         // levels, bit-equal totals, same feasibility.
         let (members, mut risks) = fleet;
         let dense: f64 = members.iter().map(|m| m.energy_per_level[0].0).sum();
-        let mut planner =
-            FleetPlanner::with_partition_size(members.clone(), partition_size).unwrap();
+        let mut planner = FleetPlanner::new(members.clone()).unwrap();
         let mut budget = Some(Joules(dense * 0.7));
         for (pick, new_risk, frac, rebudget) in steps {
             let i = pick % risks.len();

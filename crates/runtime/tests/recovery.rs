@@ -14,8 +14,8 @@ use reprune_prune::{FineTuneSpec, LadderConfig, PruneCriterion, SparsityLadder};
 use reprune_runtime::policy::AdaptiveConfig;
 use reprune_runtime::trace::TraceEventKind;
 use reprune_runtime::{
-    storm_events, FaultDefense, FaultPlan, FineTuneData, FleetRuntime, Policy, RuntimeManager,
-    RuntimeManagerConfig, SafetyEnvelope, SpillConfig, StormConfig,
+    plan_budget_prevalidated, storm_events, FaultDefense, FaultPlan, FineTuneData, FleetRuntime,
+    Policy, RuntimeManager, RuntimeManagerConfig, SafetyEnvelope, SpillConfig, StormConfig,
 };
 use reprune_scenario::{Scenario, ScenarioConfig};
 
@@ -294,13 +294,11 @@ fn garbage_or_empty_device_falls_back_to_fresh_start() {
 }
 
 /// Kills a fleet mid-storm, recovers every member from its device, and
-/// asserts the resumed tail is byte-identical to an uninterrupted run.
-/// `incremental` enables the dirty-set planner on the crashed and
-/// resumed fleets (the uninterrupted reference always plans from
-/// scratch, so this also re-proves mode equivalence across a crash).
+/// asserts the resumed tail is byte-identical to an uninterrupted run
+/// and that every resumed tick's plan equals the from-scratch oracle.
 /// `budget_frac`, when set, caps the fleet at that fraction of its
 /// dense draw so the arbiter keeps cutting through the storm.
-fn fleet_crash_roundtrip(incremental: bool, budget_frac: Option<f64>) {
+fn fleet_crash_roundtrip(budget_frac: Option<f64>) {
     let scenario = storm_scenario(StormConfig::severe(10.0, 50.0));
     let utility = vec![0.95, 0.93, 0.88, 0.60];
     let members = |n: usize| -> FleetRuntime {
@@ -331,7 +329,6 @@ fn fleet_crash_roundtrip(incremental: bool, budget_frac: Option<f64>) {
     // the exact arbitration `run_span` would apply, freeze each
     // member's device, drop the fleet.
     let mut crashed = members(2);
-    crashed.set_incremental_planner(incremental);
     let dt = scenario.config().dt_s;
     for m in 0..2 {
         crashed
@@ -370,11 +367,10 @@ fn fleet_crash_roundtrip(incremental: bool, budget_frac: Option<f64>) {
     let start = resume_ticks[0];
     assert!(start > 0 && start <= CRASH_AT);
 
-    // The planner holds no durable state: the recovered fleet's
-    // incremental planner starts cold and rebuilds its buckets and
-    // dirty-set purely from the recovered Knowledge-derived profiles.
+    // The planner holds no durable state: the recovered fleet's planner
+    // starts cold and rebuilds its buckets and dirty-set purely from the
+    // recovered Knowledge-derived profiles.
     let mut resumed = FleetRuntime::new(recovered).expect("recovered fleet builds");
-    resumed.set_incremental_planner(incremental);
     let tail = resumed
         .run_from(&scenario, budget, start)
         .expect("resumed fleet run");
@@ -383,22 +379,31 @@ fn fleet_crash_roundtrip(incremental: bool, budget_frac: Option<f64>) {
     for (i, (got, want)) in tail.ticks.iter().zip(&full.ticks[start..]).enumerate() {
         assert_eq!(got, want, "fleet tick {} diverged after resume", start + i);
     }
-    if incremental {
-        let stats = resumed.planner_stats().expect("planner ran after resume");
-        assert!(stats.plans > 0, "resumed fleet must have planned incrementally");
+    for (got, tick) in tail.ticks.iter().zip(&scenario.ticks()[start..]) {
+        let oracle = plan_budget_prevalidated(resumed.profiles(), &[tick.risk; 2], budget)
+            .expect("oracle plans");
+        assert_eq!(
+            got.plan, oracle,
+            "resumed plan at t={} left the oracle",
+            tick.t
+        );
     }
+    assert_eq!(
+        resumed.planner_stats().plans,
+        tail.ticks.len() as u64,
+        "the resumed fleet planned every tick"
+    );
 }
 
 #[test]
 fn fleet_kill_and_resume_matches_uninterrupted_fleet() {
-    fleet_crash_roundtrip(false, None);
+    fleet_crash_roundtrip(None);
 }
 
 #[test]
 fn fleet_kill_and_resume_with_incremental_planner_is_byte_identical() {
     // A binding budget (70% of dense) keeps the arbiter cutting through
-    // the storm, so the dirty-set planner's cache is live on both sides
-    // of the crash; the reference arm plans from scratch, making this a
-    // crash-spanning equivalence check too.
-    fleet_crash_roundtrip(true, Some(0.7));
+    // the storm, so the planner's dirty-set and plan cache are live on
+    // both sides of the crash.
+    fleet_crash_roundtrip(Some(0.7));
 }

@@ -10,20 +10,16 @@
 //! Run with:
 //! ```sh
 //! cargo run --release -p reprune --example fleet_storm -- \
-//!     [--members N] [--workers N] [--incremental-planner on|off]
+//!     [--members N] [--workers N]
 //! ```
 //!
-//! `--workers` caps the persistent step pool (default: machine
-//! parallelism; `1` forces serial stepping); `--incremental-planner
-//! on` arbitrates each tick through the stateful dirty-set planner
-//! instead of planning from scratch. The example times every tick and
-//! prints p50/p95 step *and* planner latency and dirty-set occupancy;
-//! with `--workers 4` or more on a multi-core host
-//! it exits nonzero if the pooled path is more than 5% slower than a
-//! serial rerun, and with the incremental planner at 1000+ members it
-//! exits nonzero if incremental planning is slower than a from-scratch
-//! rerun — the machinery must never cost more than it saves at the
-//! scale it exists for.
+//! `--workers` caps the stepping threads (default: machine parallelism;
+//! `1` forces serial stepping). Every tick is arbitrated by the stateful
+//! dirty-set planner. The example times every tick and prints p50/p95
+//! step *and* planner latency and dirty-set occupancy; with
+//! `--workers 4` or more on a host with at least 4 cores it exits
+//! nonzero if parallel stepping is more than 5% slower than a serial
+//! rerun — the threads must never cost more than they save.
 
 use std::time::Instant;
 
@@ -44,14 +40,12 @@ const UTILITY: [f64; 4] = [0.95, 0.93, 0.88, 0.60];
 struct Options {
     members: usize,
     workers: usize,
-    incremental: bool,
 }
 
 fn parse_args() -> Options {
     let mut opts = Options {
         members: 4,
         workers: std::thread::available_parallelism().map_or(1, usize::from),
-        incremental: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -64,27 +58,13 @@ fn parse_args() -> Options {
         match arg.as_str() {
             "--members" => opts.members = int_arg("--members"),
             "--workers" => opts.workers = int_arg("--workers"),
-            "--incremental-planner" => {
-                opts.incremental = match args.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => panic!("--incremental-planner needs on|off"),
-                };
-            }
-            other => panic!(
-                "unknown argument: {other} (expected --members N / --workers N / \
-                 --incremental-planner on|off)"
-            ),
+            other => panic!("unknown argument: {other} (expected --members N / --workers N)"),
         }
     }
     opts
 }
 
-fn build_fleet(
-    members: usize,
-    workers: usize,
-    incremental: bool,
-) -> Result<FleetRuntime, Box<dyn std::error::Error>> {
+fn build_fleet(members: usize, workers: usize) -> Result<FleetRuntime, Box<dyn std::error::Error>> {
     let net = models::default_perception_cnn(9)?;
     let mut fleet = FleetRuntime::new(
         (0..members)
@@ -107,14 +87,12 @@ fn build_fleet(
             .collect::<Result<Vec<_>, Box<dyn std::error::Error>>>()?,
     )?;
     fleet.set_workers(workers);
-    fleet.set_incremental_planner(incremental);
     Ok(fleet)
 }
 
-/// Per-tick wall-clock series collected by [`drive`], in seconds:
-/// whole-step latency, the planning slice of each step, and the
-/// planner's dirty-set occupancy (`0.0` whenever the fleet plans from
-/// scratch).
+/// Per-tick series collected by [`drive`]: whole-step latency and the
+/// planning slice of each step, in seconds, and the planner's dirty-set
+/// occupancy.
 struct TickTimings {
     steps: Vec<f64>,
     plans: Vec<f64>,
@@ -158,9 +136,7 @@ fn drive(
         ticks.push(fleet.step_all(tick, dt, Some(Joules(dense * frac)))?);
         timings.steps.push(started.elapsed().as_secs_f64());
         timings.plans.push(fleet.last_plan_seconds());
-        timings
-            .dirty
-            .push(fleet.planner_stats().map_or(0.0, |s| s.dirty_occupancy()));
+        timings.dirty.push(fleet.planner_stats().dirty_occupancy());
     }
     let mut trace = Vec::new();
     for member in 0..fleet.len() {
@@ -202,19 +178,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // its own fault campaign drawn from this schedule.
     let storm = storm_events(&StormConfig::severe(40.0, 140.0), 33);
     println!(
-        "highway drive, 180 s, {}-camera fleet ({} worker(s){}); {} faults over [40 s, 140 s)",
+        "highway drive, 180 s, {}-camera fleet ({} worker(s)); {} faults over [40 s, 140 s)",
         opts.members,
         opts.workers,
-        if opts.incremental {
-            ", incremental planner"
-        } else {
-            ""
-        },
         storm.len()
     );
     let scenario = scenario.with_faults(storm);
 
-    let mut fleet = build_fleet(opts.members, opts.workers, opts.incremental)?;
+    let mut fleet = build_fleet(opts.members, opts.workers)?;
 
     // N members, each carrying live weights + a mirror + a snapshot —
     // yet one shared base copy until a member actually mutates a tensor.
@@ -290,25 +261,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  step latency           p50 {p50:.0} us, p95 {p95:.0} us (pool size {})", fleet.pool_size());
     let plan_p50 = percentile_us(&timings.plans, 50);
     let plan_p95 = percentile_us(&timings.plans, 95);
+    println!("  planner time           p50 {plan_p50:.0} us, p95 {plan_p95:.0} us");
+    let stats = fleet.planner_stats();
+    let mean_dirty: f64 = timings.dirty.iter().sum::<f64>() / timings.dirty.len().max(1) as f64;
     println!(
-        "  planner time           p50 {plan_p50:.0} us, p95 {plan_p95:.0} us ({})",
-        if opts.incremental {
-            "incremental"
-        } else {
-            "from-scratch"
-        }
+        "  dirty-set occupancy    mean {:.1}% of members re-banded per tick \
+         (cache hits {}/{})",
+        mean_dirty * 100.0,
+        stats.cache_hits,
+        stats.plans
     );
-    if let Some(stats) = fleet.planner_stats() {
-        let mean_dirty: f64 =
-            timings.dirty.iter().sum::<f64>() / timings.dirty.len().max(1) as f64;
-        println!(
-            "  dirty-set occupancy    mean {:.1}% of members re-banded per tick \
-             (cache hits {}/{})",
-            mean_dirty * 100.0,
-            stats.cache_hits,
-            stats.plans
-        );
-    }
 
     // Every violation on record is a fault-era integrity flag (degraded /
     // minimal-risk ticks while the defense chain heals) — never the
@@ -328,58 +290,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("its safety envelope allows — every flagged tick above came from the");
     println!("fault storm itself, announced while the defense chain healed it.");
 
-    // Performance verdict: at 4+ workers on a multi-core host, the pooled
-    // path must not lose more than 5% to a serial rerun of the identical
-    // campaign (the persistent pool exists to *remove* per-tick
-    // threading overhead).
+    // Performance verdict: at 4+ workers on a multi-core host, parallel
+    // stepping must not lose more than 5% to a serial rerun of the
+    // identical campaign.
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     if opts.workers >= 4 && cores >= 4 {
-        let mut serial = build_fleet(opts.members, 1, opts.incremental)?;
+        let mut serial = build_fleet(opts.members, 1)?;
         let (serial_r, serial_t) = drive(&mut serial, &scenario, dense)?;
-        assert_eq!(r.ticks, serial_r.ticks, "pooled run must match serial run");
+        assert_eq!(
+            r.ticks, serial_r.ticks,
+            "parallel run must match serial run"
+        );
         let serial_p50 = percentile_us(&serial_t.steps, 50);
         println!(
-            "\npooled vs serial p50: {p50:.0} us vs {serial_p50:.0} us ({:.2}x)",
+            "\nparallel vs serial p50: {p50:.0} us vs {serial_p50:.0} us ({:.2}x)",
             serial_p50 / p50
         );
         if p50 > serial_p50 * 1.05 {
             eprintln!(
-                "FAIL: pooled stepping ({} workers) is >5% slower than serial \
+                "FAIL: parallel stepping ({} workers) is >5% slower than serial \
                  (p50 {p50:.0} us vs {serial_p50:.0} us)",
                 opts.workers
             );
             std::process::exit(1);
         }
     } else if opts.workers >= 4 {
-        println!("\n(pooled-vs-serial verdict skipped: only {cores} core(s) available)");
-    }
-
-    // Planner verdict: at the fleet scales the dirty-set planner exists
-    // for, it must beat planning every tick from scratch — rerun the
-    // identical campaign with from-scratch arbitration, require the
-    // same bytes, and fail the example if incremental planning was
-    // slower per tick.
-    if opts.incremental && opts.members >= 1000 {
-        let mut scratch = build_fleet(opts.members, opts.workers, false)?;
-        let (scratch_r, scratch_t) = drive(&mut scratch, &scenario, dense)?;
-        assert_eq!(
-            r.ticks, scratch_r.ticks,
-            "incremental planning must match from-scratch planning"
-        );
-        let scratch_p50 = percentile_us(&scratch_t.plans, 50);
-        println!(
-            "\nincremental vs from-scratch planner p50: {plan_p50:.0} us vs \
-             {scratch_p50:.0} us ({:.2}x)",
-            scratch_p50 / plan_p50
-        );
-        if plan_p50 > scratch_p50 {
-            eprintln!(
-                "FAIL: incremental planning at {} members is slower than from-scratch \
-                 (p50 {plan_p50:.0} us vs {scratch_p50:.0} us)",
-                opts.members
-            );
-            std::process::exit(1);
-        }
+        println!("\n(parallel-vs-serial verdict skipped: only {cores} core(s) available)");
     }
     Ok(())
 }
