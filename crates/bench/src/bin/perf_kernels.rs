@@ -14,7 +14,8 @@
 //! * a restore-from-log round trip (prune to the top level and back),
 //! * the durable spill (`BENCH_restore.json`): sealed-record append,
 //!   crash replay (`log_replay` = full scan + base restore + mark
-//!   replay), and the steady-state tick overhead of spilling
+//!   replay; `log_replay_fine_tuned` = the same on a per-level
+//!   fine-tuned ladder), and the steady-state tick overhead of spilling
 //!   (`tick_spill_on` / `tick_spill_off`, floor 0.95 off/on),
 //! * the end-to-end inference tick (`predict_with`) at every ladder
 //!   density from 1.00 down to 0.25,
@@ -472,6 +473,54 @@ fn main() {
         }
         let stat = KernelStat::from_samples("log_replay", &replay, 1);
         println!("  log_replay: {:.0} ns (device {} B)", stat.median_ns, device.len());
+        rstats.push(stat);
+
+        // The same drive and recover loop on a per-level fine-tuned
+        // ladder (30 tuning steps per level, as the benchmark's
+        // crash_recover vehicle): the device's base record carries the
+        // tune hops, so recovery attaches from them instead of tuning.
+        let build_ft_ladder = |net: &reprune::nn::Network| {
+            LadderConfig::new(vec![0.0, 0.3, 0.6, 0.9])
+                .criterion(PruneCriterion::ChannelL2)
+                .fine_tune(reprune::prune::FineTuneSpec {
+                    steps: 30,
+                    lr: 0.01,
+                    seed: 0xF1DE,
+                })
+                .build(net)
+                .expect("fine-tuned ladder builds")
+        };
+        let ft_device = {
+            let mut m =
+                RuntimeManager::attach(net.clone(), build_ft_ladder(&net), mgr_config(true))
+                    .expect("fine-tuned attach");
+            m.run(&stormy).expect("fine-tuned stormy drive");
+            m.spill_device_bytes().expect("spill enabled")
+        };
+        rderived.push((
+            "spill_device_bytes_fine_tuned".to_string(),
+            ft_device.len().to_string(),
+        ));
+        let mut ft_replay = criterion::SampleStats::default();
+        for _ in 0..cfg.restore_batches.min(10) {
+            ft_replay.batch_ns.push(criterion::time_batch(1, &mut || {
+                let (mgr, report) = RuntimeManager::recover(
+                    net.clone(),
+                    build_ft_ladder(&net),
+                    mgr_config(true),
+                    DurableLog::from_bytes(ft_device.clone()),
+                )
+                .expect("fine-tuned recover");
+                assert!(report.resumed, "fine-tuned bench device must resume");
+                std::hint::black_box(mgr.resume_tick());
+            }));
+        }
+        let stat = KernelStat::from_samples("log_replay_fine_tuned", &ft_replay, 1);
+        println!(
+            "  log_replay_fine_tuned: {:.0} ns (device {} B)",
+            stat.median_ns,
+            ft_device.len()
+        );
         rstats.push(stat);
 
         // Steady-state MAPE-K tick with and without spilling. Both

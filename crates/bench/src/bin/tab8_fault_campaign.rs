@@ -43,9 +43,9 @@
 //!     same-seq suffix of an uninterrupted run's `trace.jsonl`,
 //!   * `--fine-tune` — drive a per-level fine-tuned ladder (DESIGN.md
 //!     §17) instead of the shared-weight one, so the spilled log
-//!     carries tune-hop segments; recovery replays the
-//!     deterministic attach-time tuning and must still be
-//!     byte-identical.
+//!     carries tune-hop segments and its base record the tune hops;
+//!     recovery attaches from the recorded hops without training and
+//!     must still be byte-identical.
 
 use reprune::platform::DurableLog;
 use reprune::prune::{FineTuneSpec, LadderConfig, PruneCriterion, SparsityLadder};
@@ -139,8 +139,8 @@ fn recovery_arm(dir: &str, resume: bool, pace_ms: u64, quick: bool, fine_tune: b
     let scenario = campaign(seed, drive_s, quick);
     let (net, _) = trained_perception(80);
     // Same rungs either way; the fine-tuned variant briefly tunes each
-    // level at attach (deterministically — recovery replays the exact
-    // walk) and spills tune-hop segments.
+    // level at attach and spills tune-hop segments, and recovery reads
+    // the tune hops back from the base record instead of tuning again.
     let ladder = |net: &Network| -> SparsityLadder {
         if fine_tune {
             LadderConfig::new(vec![0.0, 0.3, 0.6, 0.9])

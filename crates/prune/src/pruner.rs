@@ -755,6 +755,31 @@ impl Hop {
     }
 }
 
+/// Encodes tune hops as a [`ReversiblePruner::tune_record`].
+fn encode_tune_hops<'a>(hops: impl Iterator<Item = &'a Hop>) -> Vec<u8> {
+    let hops: Vec<&Hop> = hops.collect();
+    let mut w = crate::spill::PayloadWriter::new();
+    w.put_u32(hops.len() as u32);
+    for hop in hops {
+        w.put_u32(hop.level as u32);
+        w.put_u32(hop.layers.len() as u32);
+        for l in &hop.layers {
+            let Rule::Tuned(values) = &l.rule else {
+                unreachable!("tune hops carry tuned values");
+            };
+            w.put_u32(l.layer.0 as u32);
+            w.put_u32(l.indices.len() as u32);
+            for &i in &l.indices {
+                w.put_u32(i);
+            }
+            for v in values {
+                w.put_u32(v.to_bits());
+            }
+        }
+    }
+    w.into_bytes()
+}
+
 /// Where a hop lives: at a position of the canonical walk, or as a
 /// level's int8 rung.
 #[derive(Debug, Clone, Copy)]
@@ -865,19 +890,22 @@ impl ReversiblePruner {
     }
 
     /// Attaches a pruner whose ladder carries a [`crate::FineTuneSpec`],
-    /// briefly fine-tuning the live (masked) network at each level and
+    /// briefly fine-tuning the masked network at each level and
     /// recording the retuned weights as that level's tune hop. Each level
     /// is tuned *incrementally* from its parent level's tuned state, and
     /// its tune segment stores the parent's values — so popping one rolls
     /// the level back to its parent bit-exactly, with no retraining on
     /// the critical path.
     ///
-    /// The network is returned at level 0 with its original weights
-    /// restored bit-exactly (verified against the attach checksum);
-    /// only the pruner's tune hops remember the tuned optima.
-    /// The whole procedure is deterministic: replaying it on the same
-    /// network and samples reproduces byte-identical hops and segments,
-    /// which is what lets crash recovery rebuild fine-tuned rungs.
+    /// Training runs on a scratch copy of `net`, so the caller's network
+    /// comes back equal in full: its weights, and also the optimizer
+    /// velocities, BatchNorm running statistics and dropout stream that
+    /// training moves. Only the pruner's tune hops remember the tuned
+    /// optima. The procedure is deterministic: the same network and
+    /// samples reproduce byte-identical hops and segments.
+    /// [`ReversiblePruner::tune_record`] persists the hops, and
+    /// [`ReversiblePruner::attach_recorded`] rebuilds this pruner from
+    /// them without training.
     ///
     /// # Errors
     ///
@@ -893,23 +921,26 @@ impl ReversiblePruner {
             PruneError::bad_ladder("attach_fine_tuned requires a ladder with a fine-tune spec")
         })?;
         let mut pruner = Self::attach_core(net, ladder, LogPrecision::Exact)?;
-        for level in 1..pruner.ladder.num_levels() {
+        let mut scratch = net.clone();
+        let mut tunes = Vec::new();
+        // The walk holds only the eviction hops yet, one per level.
+        for evict in &pruner.walk {
+            let level = evict.level;
             // Evict this level's rows first: training sees the masked
             // network, starting from the parent level's tuned state.
-            pruner.push(net, HopAt::Walk(pruner.log.len()))?;
-            let parent: Vec<(LayerId, Vec<f32>)> = {
-                let mut snap = Vec::new();
-                for meta in net.prunable_layers() {
-                    snap.push((meta.id, net.weight(meta.id)?.data().to_vec()));
-                }
-                snap
-            };
+            for l in &evict.layers {
+                l.write(scratch.weight_mut(l.layer)?.data_mut(), |_| {});
+            }
+            let mut parent = Vec::new();
+            for meta in scratch.prunable_layers() {
+                parent.push((meta.id, scratch.weight(meta.id)?.data().to_vec()));
+            }
             let freeze = pruner.ladder.level(level)?.masks.freeze_spec(true);
             let seed = spec.seed ^ (level as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            train::fine_tune_frozen(net, samples, spec.steps, spec.lr, seed, &freeze)?;
+            train::fine_tune_frozen(&mut scratch, samples, spec.steps, spec.lr, seed, &freeze)?;
             let mut layers = Vec::new();
             for (id, before) in &parent {
-                let after = net.weight(*id)?.data();
+                let after = scratch.weight(*id)?.data();
                 let mut indices = Vec::new();
                 let mut tuned = Vec::new();
                 for (i, (&b, &a)) in before.iter().zip(after).enumerate() {
@@ -926,23 +957,177 @@ impl ReversiblePruner {
                     });
                 }
             }
-            // Roll the weights back to the parent state, then push the
-            // tune hop like any other: it captures the parent values
-            // while writing the tuned ones.
-            for (id, before) in &parent {
-                net.weight_mut(*id)?.data_mut().copy_from_slice(before);
-            }
             if !layers.is_empty() {
-                let at = pruner.log.len();
-                pruner
-                    .walk
-                    .insert(at, Hop::new(level, DeltaKind::FineTune, layers));
-                pruner.push(net, HopAt::Walk(at))?;
+                tunes.push(Hop::new(level, DeltaKind::FineTune, layers));
             }
         }
-        pruner.set_level(net, 0)?;
-        pruner.verify_restored(net)?;
+        pruner.install_tune_hops(net, tunes)?;
         Ok(pruner)
+    }
+
+    /// Attaches a pruner from a tune record
+    /// ([`ReversiblePruner::tune_record`]) instead of training: the
+    /// recorded hops are checked against `net` and the ladder, then
+    /// installed exactly as [`ReversiblePruner::attach_fine_tuned`]
+    /// installs the hops it trains, so the two pruners are equal. A
+    /// ladder without a fine-tune spec takes an empty record and
+    /// attaches as [`ReversiblePruner::attach`] does.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PruneError::SpillDecode`] when the record is empty on a
+    /// fine-tuned ladder or present on another, or when it is not a
+    /// list of ascending in-range levels, each naming known prunable
+    /// layers in network order with ascending in-range positions the
+    /// level keeps, and nothing after; [`PruneError::MaskMismatch`] on
+    /// mask/shape disagreement.
+    pub fn attach_recorded(
+        net: &mut Network,
+        ladder: SparsityLadder,
+        tune_record: &[u8],
+    ) -> Result<Self> {
+        match (ladder.has_fine_tune(), tune_record.is_empty()) {
+            (false, true) => return Self::attach_core(net, ladder, LogPrecision::Exact),
+            (false, false) => {
+                return Err(PruneError::spill_decode(
+                    "tune record on a ladder without a fine-tune spec",
+                ))
+            }
+            (true, true) => {
+                return Err(PruneError::spill_decode(
+                    "fine-tuned ladder without a tune record",
+                ))
+            }
+            (true, false) => {}
+        }
+        let mut pruner = Self::attach_core(net, ladder, LogPrecision::Exact)?;
+        let tunes = pruner.decode_tune_hops(net, tune_record)?;
+        pruner.install_tune_hops(net, tunes)?;
+        Ok(pruner)
+    }
+
+    /// The tune record: every tune hop on the canonical walk, for the
+    /// spill's base record. Little-endian `u32` words: the hop count,
+    /// then per hop its level and layer count, then per layer its id,
+    /// its position count, the ascending positions the hop retunes and
+    /// their tuned f32 bits. Raw bits keep NaN, ±0 and denormal tuned
+    /// values exact. Empty for a ladder without a fine-tune spec.
+    pub fn tune_record(&self) -> Vec<u8> {
+        if !self.ladder.has_fine_tune() {
+            return Vec::new();
+        }
+        encode_tune_hops(self.walk.iter().filter(|h| h.kind == DeltaKind::FineTune))
+    }
+
+    /// Decodes a [`ReversiblePruner::tune_record`] into tune hops,
+    /// checking each against `net`'s prunable layers and the ladder's
+    /// masks. Counts are bounded before use: hops by the ladder's
+    /// levels, layers by the network's, and positions by the bytes left
+    /// (the only count anything is reserved for).
+    fn decode_tune_hops(&self, net: &Network, record: &[u8]) -> Result<Vec<Hop>> {
+        fn word(r: &mut crate::spill::PayloadReader<'_>, what: &str) -> Result<u32> {
+            r.u32()
+                .ok_or_else(|| PruneError::spill_decode(format!("tune record: missing {what}")))
+        }
+        let err = |what: String| PruneError::spill_decode(format!("tune record: {what}"));
+        let levels = self.ladder.num_levels();
+        let metas = net.prunable_layers();
+        let mut r = crate::spill::PayloadReader::new(record);
+        let hop_count = word(&mut r, "hop count")? as usize;
+        if hop_count >= levels {
+            return Err(err(format!(
+                "{hop_count} tune hops on a {levels}-level ladder"
+            )));
+        }
+        let mut hops = Vec::new();
+        let mut prev_level = 0;
+        for _ in 0..hop_count {
+            let level = word(&mut r, "level")? as usize;
+            if level <= prev_level || level >= levels {
+                return Err(err(format!(
+                    "level {level} is out of range or out of order"
+                )));
+            }
+            prev_level = level;
+            let masks = &self.ladder.level(level)?.masks;
+            let layer_count = word(&mut r, "layer count")? as usize;
+            if layer_count == 0 || layer_count > metas.len() {
+                return Err(err(format!("level {level} lists {layer_count} layers")));
+            }
+            let mut layers = Vec::new();
+            // Layers follow the network's order, each at most once.
+            let mut next = 0;
+            for _ in 0..layer_count {
+                let layer = LayerId(word(&mut r, "layer id")? as usize);
+                let at = metas
+                    .iter()
+                    .position(|m| m.id == layer)
+                    .ok_or_else(|| err(format!("layer {layer} is not a prunable layer")))?;
+                if at < next {
+                    return Err(err(format!(
+                        "layer {layer} is out of order at level {level}"
+                    )));
+                }
+                next = at + 1;
+                let len = metas[at].weight_len();
+                let count = word(&mut r, "position count")? as usize;
+                if count == 0 || count > r.remaining() / 8 {
+                    return Err(err(format!(
+                        "layer {layer} at level {level} claims {count} positions"
+                    )));
+                }
+                let mask = masks.get(layer);
+                let mut indices: Vec<u32> = Vec::with_capacity(count);
+                for _ in 0..count {
+                    let i = word(&mut r, "position")?;
+                    if i as usize >= len
+                        || indices.last().is_some_and(|&p| p >= i)
+                        || mask.is_some_and(|m| m.is_pruned(i as usize))
+                    {
+                        return Err(err(format!(
+                            "position {i} of layer {layer} is out of range, out of order \
+                             or pruned at level {level}"
+                        )));
+                    }
+                    indices.push(i);
+                }
+                let mut tuned = Vec::with_capacity(count);
+                for _ in 0..count {
+                    tuned.push(f32::from_bits(word(&mut r, "tuned value")?));
+                }
+                layers.push(HopLayer {
+                    layer,
+                    indices,
+                    rule: Rule::Tuned(tuned),
+                });
+            }
+            hops.push(Hop::new(level, DeltaKind::FineTune, layers));
+        }
+        if !r.done() {
+            return Err(err("trailing bytes".into()));
+        }
+        Ok(hops)
+    }
+
+    /// Inserts each tune hop into the canonical walk right after its
+    /// level's eviction hop, then walks `net` up every hop and back down
+    /// to level 0, warming the segment pool and the integrity counters
+    /// the same way whether the hops were trained or recorded. Verifies
+    /// that `net` is back on its attach-time bits.
+    fn install_tune_hops(&mut self, net: &mut Network, tunes: Vec<Hop>) -> Result<()> {
+        for hop in tunes {
+            let at = self
+                .walk
+                .iter()
+                .position(|h| h.level > hop.level)
+                .unwrap_or(self.walk.len());
+            self.walk.insert(at, hop);
+        }
+        for at in 0..self.walk.len() {
+            self.push(net, HopAt::Walk(at))?;
+        }
+        self.set_level(net, 0)?;
+        self.verify_restored(net)
     }
 
     /// The attach every constructor shares: validates the ladder against
@@ -1538,9 +1723,9 @@ impl ReversiblePruner {
     /// at crash time is corrupt again after recovery, exactly as the
     /// paper's defense chain expects to find it; weight patches the
     /// recovery applies afterwards reproduce post-hop drift on top. The
-    /// tune hops of a fine-tuned ladder come from its attach-time
-    /// training, so recovery re-runs the deterministic
-    /// [`ReversiblePruner::attach_fine_tuned`] before calling this.
+    /// tune hops of a fine-tuned ladder come from its tune record, so
+    /// recovery attaches with [`ReversiblePruner::attach_recorded`]
+    /// before calling this.
     ///
     /// # Errors
     ///
@@ -2776,14 +2961,327 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        // Recovery re-runs the deterministic attach (rebuilding the
-        // tune hops), then installs the spilled segments.
+        // A second deterministic attach rebuilds the same tune hops,
+        // then installs the spilled segments.
         let (mut net2, mut p2) = ft_attach(vec![0.0, 0.4, 0.8], 15);
         p2.install_log(&mut net2, segments).unwrap();
         assert_eq!(p2.current_level(), 2);
         assert_eq!(net2, crashed, "recovered weights differ from crashed state");
         p2.set_level(&mut net2, 0).unwrap();
         p2.verify_restored(&net2).unwrap();
+    }
+
+    #[test]
+    fn recorded_attach_equals_the_trained_one() {
+        use crate::ladder::FineTuneSpec;
+        use reprune_nn::dataset::SceneDataset;
+        use PrecisionMode::{Int8, F32};
+        let data = SceneDataset::builder().samples(24).seed(4041).build();
+        let cases = [
+            (
+                vec![0.0, 0.4, 0.8],
+                vec![F32; 3],
+                PruneCriterion::Magnitude,
+                7,
+            ),
+            (
+                vec![0.0, 0.3, 0.6, 0.9],
+                vec![F32, F32, Int8, Int8],
+                PruneCriterion::ChannelL2,
+                23,
+            ),
+        ];
+        for (levels, precisions, criterion, seed) in cases {
+            let original = models::default_perception_cnn(21).unwrap();
+            let ladder = LadderConfig::new(levels)
+                .criterion(criterion)
+                .precisions(precisions)
+                .fine_tune(FineTuneSpec {
+                    steps: 3,
+                    lr: 0.01,
+                    seed,
+                })
+                .build(&original)
+                .unwrap();
+            let mut net = original.clone();
+            let mut trained =
+                ReversiblePruner::attach_fine_tuned(&mut net, ladder.clone(), data.samples())
+                    .unwrap();
+            let record = trained.tune_record();
+            let mut rec_net = original.clone();
+            let mut recorded =
+                ReversiblePruner::attach_recorded(&mut rec_net, ladder, &record).unwrap();
+            // Walk, hops, segment pool and integrity counters alike.
+            assert_eq!(recorded, trained);
+            assert_eq!(
+                trained.integrity_stats().pops_verified,
+                trained.walk.len() as u64,
+                "attach walks every hop up and back down once"
+            );
+            assert_eq!(recorded.tune_record(), record);
+            assert_eq!(rec_net, original);
+            let n = trained.ladder().num_levels();
+            assert!(
+                trained.hop_entries(0, n - 1).tune > 0,
+                "training changed no weights"
+            );
+            for low in 0..n {
+                for high in low..n {
+                    assert_eq!(
+                        recorded.hop_entries(low, high),
+                        trained.hop_entries(low, high)
+                    );
+                }
+            }
+            for level in (0..n).chain((0..n).rev()) {
+                trained.set_level(&mut net, level).unwrap();
+                recorded.set_level(&mut rec_net, level).unwrap();
+                assert_eq!(rec_net, net, "level {level}");
+                assert_eq!(recorded.log_segments(), trained.log_segments());
+                for i in 0..trained.log_segments() {
+                    assert_eq!(
+                        recorded.log_segment(i).unwrap().to_spill_payload(),
+                        trained.log_segment(i).unwrap().to_spill_payload(),
+                        "segment {i} at level {level}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A fine-tuned ladder on a three-layer MLP, whose tune record is
+    /// small enough to cut at every byte.
+    fn small_ft() -> (Network, SparsityLadder, ReversiblePruner) {
+        use crate::ladder::FineTuneSpec;
+        let net = models::control_mlp(6, &[12, 8], 4, 3).unwrap();
+        let data = reprune_nn::dataset::BlobsDataset::generate(12, 6, 4, 0.4, 5);
+        let ladder = LadderConfig::new(vec![0.0, 0.4, 0.8])
+            .fine_tune(FineTuneSpec {
+                steps: 2,
+                lr: 0.05,
+                seed: 5,
+            })
+            .build(&net)
+            .unwrap();
+        let p =
+            ReversiblePruner::attach_fine_tuned(&mut net.clone(), ladder.clone(), data.samples())
+                .unwrap();
+        (net, ladder, p)
+    }
+
+    /// Byte offsets of every count word in a tune record: the hop
+    /// count, each hop's layer count and each layer's position count.
+    fn count_word_offsets(record: &[u8]) -> Vec<usize> {
+        let word = |at: usize| u32::from_le_bytes(record[at..at + 4].try_into().unwrap()) as usize;
+        let mut offsets = vec![0];
+        let mut at = 4;
+        for _ in 0..word(0) {
+            offsets.push(at + 4);
+            let layers = word(at + 4);
+            at += 8;
+            for _ in 0..layers {
+                offsets.push(at + 4);
+                at += 8 + 8 * word(at + 4);
+            }
+        }
+        assert_eq!(at, record.len(), "the walk covers the whole record");
+        offsets
+    }
+
+    #[test]
+    fn tune_record_decode_rejects_hostile_input() {
+        let (net, ladder, p) = small_ft();
+        let record = p.tune_record();
+        let rejects = |bytes: &[u8]| {
+            matches!(
+                ReversiblePruner::attach_recorded(&mut net.clone(), ladder.clone(), bytes),
+                Err(PruneError::SpillDecode { .. })
+            )
+        };
+        assert!(!rejects(&record), "the valid record attaches");
+        for cut in 0..record.len() {
+            assert!(
+                rejects(&record[..cut]),
+                "record cut at byte {cut} was accepted"
+            );
+        }
+        let offsets = count_word_offsets(&record);
+        assert!(
+            offsets.len() >= 5,
+            "two hops of several layers: {offsets:?}"
+        );
+        for &at in &offsets {
+            let original = u32::from_le_bytes(record[at..at + 4].try_into().unwrap());
+            for word in [0u32, 1, u32::MAX] {
+                if word == original {
+                    continue;
+                }
+                let mut hostile = record.clone();
+                hostile[at..at + 4].copy_from_slice(&word.to_le_bytes());
+                assert!(
+                    rejects(&hostile),
+                    "count word {word} at byte {at} was accepted"
+                );
+            }
+        }
+
+        let tunes: Vec<Hop> = p
+            .walk
+            .iter()
+            .filter(|h| h.kind == DeltaKind::FineTune)
+            .cloned()
+            .collect();
+        assert_eq!(encode_tune_hops(tunes.iter()), record);
+        let mutated = |edit: &dyn Fn(&mut Vec<Hop>)| {
+            let mut hops = tunes.clone();
+            edit(&mut hops);
+            encode_tune_hops(hops.iter())
+        };
+        let insert_position = |hop: &mut Hop, layer: usize, i: u32| {
+            let l = &mut hop.layers[layer];
+            let at = l.indices.partition_point(|&p| p < i);
+            l.indices.insert(at, i);
+            if let Rule::Tuned(values) = &mut l.rule {
+                values.insert(at, 0.5);
+            }
+        };
+        let len_of = |hop: &Hop, layer: usize| net.weight(hop.layers[layer].layer).unwrap().len();
+        let pruned_at = |hop: &Hop, layer: usize| {
+            let masks = &ladder.level(hop.level).unwrap().masks;
+            masks
+                .get(hop.layers[layer].layer)
+                .unwrap()
+                .pruned_indices()
+                .next()
+                .unwrap() as u32
+        };
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("level out of range", mutated(&|h| h[1].level = 3)),
+            ("level zero", mutated(&|h| h[0].level = 0)),
+            ("levels out of order", mutated(&|h| h.swap(0, 1))),
+            ("level repeated", mutated(&|h| h[1].level = h[0].level)),
+            (
+                "unknown layer",
+                mutated(&|h| h[0].layers[0].layer = LayerId(999)),
+            ),
+            (
+                "non-prunable layer",
+                mutated(&|h| h[0].layers[0].layer = LayerId(1)),
+            ),
+            ("layers out of order", mutated(&|h| h[0].layers.swap(0, 1))),
+            (
+                "layer repeated",
+                mutated(&|h| h[0].layers[1].layer = h[0].layers[0].layer),
+            ),
+            (
+                "position out of range",
+                mutated(&|h| {
+                    let len = len_of(&h[0], 0) as u32;
+                    insert_position(&mut h[0], 0, len);
+                }),
+            ),
+            (
+                "positions out of order",
+                mutated(&|h| h[0].layers[0].indices.swap(0, 1)),
+            ),
+            (
+                "position repeated",
+                mutated(&|h| h[0].layers[0].indices[1] = h[0].layers[0].indices[0]),
+            ),
+            (
+                "position pruned at its level",
+                mutated(&|h| {
+                    let i = pruned_at(&h[1], 0);
+                    insert_position(&mut h[1], 0, i);
+                }),
+            ),
+            ("trailing word", [record.as_slice(), &[0; 4]].concat()),
+            ("trailing byte", [record.as_slice(), &[7]].concat()),
+            ("missing on a tuned ladder", Vec::new()),
+        ];
+        for (what, bytes) in cases {
+            assert!(rejects(&bytes), "{what} was accepted");
+        }
+        // Present on a ladder without a fine-tune spec.
+        let plain = LadderConfig::new(vec![0.0, 0.4, 0.8]).build(&net).unwrap();
+        assert!(matches!(
+            ReversiblePruner::attach_recorded(&mut net.clone(), plain.clone(), &record),
+            Err(PruneError::SpillDecode { .. })
+        ));
+        let mut plain_net = net.clone();
+        let recorded =
+            ReversiblePruner::attach_recorded(&mut plain_net, plain.clone(), &[]).unwrap();
+        assert_eq!(recorded, ReversiblePruner::attach(&net, plain).unwrap());
+    }
+
+    #[test]
+    fn tune_record_keeps_special_tuned_values_bit_exact() {
+        let (net, ladder, p) = small_ft();
+        let specials = [
+            f32::NAN.to_bits(),
+            0xFFC0_0000, // negative quiet NaN
+            0x7F80_0001, // signaling NaN
+            0x8000_0000, // -0.0
+            0x0000_0000, // +0.0
+            0x0000_0001, // smallest denormal
+            f32::NEG_INFINITY.to_bits(),
+        ];
+        let mut tunes: Vec<Hop> = p
+            .walk
+            .iter()
+            .filter(|h| h.kind == DeltaKind::FineTune)
+            .cloned()
+            .collect();
+        let mut bits = specials.iter().cycle();
+        for l in tunes.iter_mut().flat_map(|h| &mut h.layers) {
+            if let Rule::Tuned(values) = &mut l.rule {
+                for v in values {
+                    *v = f32::from_bits(*bits.next().unwrap());
+                }
+            }
+        }
+        let record = encode_tune_hops(tunes.iter());
+        let mut rec_net = net.clone();
+        let mut recorded =
+            ReversiblePruner::attach_recorded(&mut rec_net, ladder, &record).unwrap();
+        assert_eq!(recorded.tune_record(), record);
+        // The top level runs on exactly the recorded bits.
+        recorded.set_level(&mut rec_net, 2).unwrap();
+        let top = tunes.last().unwrap();
+        for l in &top.layers {
+            let Rule::Tuned(values) = &l.rule else {
+                unreachable!()
+            };
+            let data = rec_net.weight(l.layer).unwrap().data();
+            for (&i, v) in l.indices.iter().zip(values) {
+                assert_eq!(data[i as usize].to_bits(), v.to_bits());
+            }
+        }
+        recorded.set_level(&mut rec_net, 0).unwrap();
+        recorded.verify_restored(&rec_net).unwrap();
+    }
+
+    #[test]
+    fn fine_tuned_attach_leaves_a_batchnorm_network_equal() {
+        use crate::ladder::FineTuneSpec;
+        use reprune_nn::dataset::{SceneDataset, SCENE_CLASSES};
+        let original = models::perception_cnn_deep(SCENE_CLASSES, 5).unwrap();
+        let data = SceneDataset::builder().samples(16).seed(4041).build();
+        let ladder = LadderConfig::new(vec![0.0, 0.5])
+            .fine_tune(FineTuneSpec {
+                steps: 2,
+                lr: 0.01,
+                seed: 3,
+            })
+            .build(&original)
+            .unwrap();
+        let mut net = original.clone();
+        let p = ReversiblePruner::attach_fine_tuned(&mut net, ladder, data.samples()).unwrap();
+        assert!(p.hop_entries(0, 1).tune > 0, "training changed no weights");
+        assert_eq!(
+            net, original,
+            "attach must not move the caller's BatchNorm statistics or optimizer state"
+        );
     }
 
     #[test]

@@ -29,8 +29,9 @@ pub const FRAME_OVERHEAD: usize = 20;
 /// What a framed record holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordKind {
-    /// Full pristine image of all prunable weights (written once when
-    /// spilling is enabled; recovery's ground truth).
+    /// Full pristine image of all prunable weights, then the pruner's
+    /// tune record (written once when spilling is enabled; recovery's
+    /// ground truth).
     Base,
     /// One sealed reversal-log segment ([`crate::pruner::LevelDelta`]).
     Segment,
@@ -321,7 +322,8 @@ impl<'a> PayloadReader<'a> {
 
 /// Serializes the full pristine prunable-weight image (plus the log's
 /// value precision, so recovery can re-attach in the same mode).
-/// `precision_flag` is 0 for exact logs, 1 for binary16 logs.
+/// `precision_flag` is 0 for exact logs, 1 for binary16 logs. A base
+/// record may carry a tail after the image ([`split_base`]).
 pub fn encode_base(net: &Network, precision_flag: u32) -> Vec<u8> {
     let mut w = PayloadWriter::new();
     w.put_u32(precision_flag);
@@ -339,6 +341,28 @@ pub fn encode_base(net: &Network, precision_flag: u32) -> Vec<u8> {
         }
     }
     w.into_bytes()
+}
+
+/// Splits a base record's payload into the [`encode_base`] weight image
+/// and the tail its writer appended after it (the pruner's tune record,
+/// empty for untuned ladders). Reads only the image's layer headers;
+/// [`apply_base`] checks the image against a network.
+///
+/// # Errors
+///
+/// Returns [`PruneError::SpillDecode`] when the layer headers or
+/// weights run past the payload.
+pub fn split_base(payload: &[u8]) -> Result<(&[u8], &[u8])> {
+    let err = |what: &str| PruneError::spill_decode(format!("base image: {what}"));
+    let mut r = PayloadReader::new(payload);
+    r.u32().ok_or_else(|| err("missing precision"))?;
+    let layer_count = r.u32().ok_or_else(|| err("missing layer count"))?;
+    for _ in 0..layer_count {
+        r.u32().ok_or_else(|| err("missing layer id"))?;
+        let len = r.u32().ok_or_else(|| err("missing layer length"))? as usize;
+        r.skip(4 * len).ok_or_else(|| err("truncated weights"))?;
+    }
+    Ok(payload.split_at(payload.len() - r.remaining()))
 }
 
 /// Applies a [`encode_base`] payload onto `net`'s prunable weights,

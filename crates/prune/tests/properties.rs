@@ -538,18 +538,13 @@ proptest! {
         let ladder = config.build(&net).unwrap();
         let n = ladder.num_levels();
         let level = 1 + target % (n - 1);
-        // A fine-tuned ladder's tune hops come from attach-time training,
-        // so recovery replays the same deterministic attach.
         let data = reprune_nn::dataset::BlobsDataset::generate(12, 6, 4, 0.4, tune_seed);
-        let attach = |net: &mut Network| {
-            if tuned {
-                ReversiblePruner::attach_fine_tuned(net, ladder.clone(), data.samples())
-            } else {
-                ReversiblePruner::attach(net, ladder.clone())
-            }
-            .unwrap()
-        };
-        let mut pruner = attach(&mut net);
+        let mut pruner = if tuned {
+            ReversiblePruner::attach_fine_tuned(&mut net, ladder.clone(), data.samples())
+        } else {
+            ReversiblePruner::attach(&net, ladder.clone())
+        }
+        .unwrap();
         pruner.set_level(&mut net, level).unwrap();
 
         // Round-trip every live segment (evictions, tunes and any
@@ -568,9 +563,12 @@ proptest! {
         }
 
         // Crash recovery: rebuild a fresh pruner over the pristine image
-        // from the recovered segments.
+        // from the crashed pruner's tune record (empty for an untuned
+        // ladder), with no training, then install the recovered segments.
         let mut rec_net = original.clone();
-        let mut rec = attach(&mut rec_net);
+        let mut rec =
+            ReversiblePruner::attach_recorded(&mut rec_net, ladder.clone(), &pruner.tune_record())
+                .unwrap();
         rec.install_log(&mut rec_net, recovered_segs).unwrap();
         prop_assert_eq!(rec.current_level(), level);
         prop_assert!(
@@ -579,13 +577,7 @@ proptest! {
         );
         rec.set_level(&mut rec_net, 0).unwrap();
         rec.verify_restored(&rec_net).unwrap();
-        if tuned {
-            // Attach-time training leaves optimizer state behind, so only
-            // the weights can match the untouched original.
-            prop_assert!(weights_bits_eq(&rec_net, &original));
-        } else {
-            prop_assert_eq!(rec_net, original);
-        }
+        prop_assert_eq!(rec_net, original);
     }
 }
 

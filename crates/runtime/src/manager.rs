@@ -22,7 +22,7 @@ use crate::stages::{
 };
 use crate::trace::{StageId, TickTrace, TraceEventKind};
 use crate::{defense, Result, RuntimeError};
-use reprune_nn::{Network, Scratch};
+use reprune_nn::{ExecPlan, Network, Scratch};
 use reprune_platform::profile::NetworkProfile;
 use reprune_platform::{Bytes, DurableLog, Seconds, SocModel, StorageHealth};
 use reprune_prune::spill as prune_spill;
@@ -61,9 +61,9 @@ impl Default for DeploymentScale {
 /// Calibration data the runtime renders for attach-time per-level
 /// fine-tuning (only consulted when the ladder carries a
 /// [`reprune_prune::FineTuneSpec`]). The set is generated
-/// deterministically from the seed, so a recovered runtime replays the
-/// exact same tuning walk and reproduces every fine-tune segment
-/// bit-identically.
+/// deterministically from the seed. Recovery reads the tune hops back
+/// from the spill's base record and renders the set only when it has
+/// to start fresh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FineTuneData {
     /// Scene samples rendered for the tuning set.
@@ -230,6 +230,24 @@ pub struct RuntimeManager {
     recovered_plan_state: Option<Vec<u64>>,
 }
 
+/// Checks the envelope against the ladder and builds each level's
+/// execution plan — the attach work that needs no pruner, done before
+/// it.
+fn plan_ladder(
+    net: &Network,
+    ladder: &SparsityLadder,
+    config: &RuntimeManagerConfig,
+) -> Result<Vec<ExecPlan>> {
+    if config.envelope.levels() != ladder.num_levels() {
+        return Err(RuntimeError::bad_config(format!(
+            "envelope governs {} levels but ladder has {}",
+            config.envelope.levels(),
+            ladder.num_levels()
+        )));
+    }
+    Ok(ladder_plans(net, ladder)?)
+}
+
 impl RuntimeManager {
     /// Attaches the runtime to a trained network with a pre-built ladder.
     ///
@@ -242,47 +260,52 @@ impl RuntimeManager {
     /// disagrees with the ladder or the spill device cannot be created,
     /// or propagates profiling errors.
     pub fn attach(
-        net: Network,
-        ladder: SparsityLadder,
-        config: RuntimeManagerConfig,
-    ) -> Result<Self> {
-        let mut mgr = Self::attach_core(net, ladder, config)?;
-        mgr.enable_spill()?;
-        Ok(mgr)
-    }
-
-    /// Attach minus spill setup — shared by [`RuntimeManager::attach`]
-    /// and [`RuntimeManager::recover`] (which installs its own spill
-    /// state from the scanned device instead).
-    fn attach_core(
         mut net: Network,
         ladder: SparsityLadder,
         config: RuntimeManagerConfig,
     ) -> Result<Self> {
-        if config.envelope.levels() != ladder.num_levels() {
-            return Err(RuntimeError::bad_config(format!(
-                "envelope governs {} levels but ladder has {}",
-                config.envelope.levels(),
-                ladder.num_levels()
-            )));
+        let plans = plan_ladder(&net, &ladder, &config)?;
+        let pruner = Self::attach_pruner(&mut net, ladder, &config)?;
+        let mut mgr = Self::attach_core(net, pruner, plans, config)?;
+        mgr.enable_spill()?;
+        Ok(mgr)
+    }
+
+    /// The pruner a first attach starts from. A fine-tuned ladder
+    /// renders its calibration set deterministically and runs the
+    /// attach-time tuning walk, which leaves `net` untouched; the spill
+    /// records the resulting tune hops, so recovery never repeats it.
+    fn attach_pruner(
+        net: &mut Network,
+        ladder: SparsityLadder,
+        config: &RuntimeManagerConfig,
+    ) -> Result<ReversiblePruner> {
+        if !ladder.has_fine_tune() {
+            return Ok(ReversiblePruner::attach(net, ladder)?);
         }
+        let data = reprune_nn::dataset::SceneDataset::builder()
+            .samples(config.fine_tune_data.samples)
+            .seed(config.fine_tune_data.seed)
+            .build();
+        Ok(ReversiblePruner::attach_fine_tuned(
+            net,
+            ladder,
+            data.samples(),
+        )?)
+    }
+
+    /// Attach minus spill setup — shared by [`RuntimeManager::attach`]
+    /// and [`RuntimeManager::recover`] (which installs its own spill
+    /// state from the scanned device instead). `pruner` is attached to
+    /// `net` at level 0, and `plans` come from [`plan_ladder`].
+    fn attach_core(
+        net: Network,
+        mut pruner: ReversiblePruner,
+        plans: Vec<ExecPlan>,
+        config: RuntimeManagerConfig,
+    ) -> Result<Self> {
         let input_dims = [1, reprune_nn::dataset::SCENE_SIZE, reprune_nn::dataset::SCENE_SIZE];
-        let plans = ladder_plans(&net, &ladder)?;
         let mut trace = TickTrace::new(config.trace_capacity);
-        let mut pruner = if ladder.has_fine_tune() {
-            // The ladder carries a fine-tune spec: render the calibration
-            // set deterministically and run the attach-time tuning walk,
-            // which hands the net back at level 0 bit-exact (it verifies
-            // the restore itself). Recovery re-runs this exact walk and
-            // reproduces the same tune hops.
-            let data = reprune_nn::dataset::SceneDataset::builder()
-                .samples(config.fine_tune_data.samples)
-                .seed(config.fine_tune_data.seed)
-                .build();
-            ReversiblePruner::attach_fine_tuned(&mut net, ladder, data.samples())?
-        } else {
-            ReversiblePruner::attach(&net, ladder)?
-        };
         for level in 1..pruner.ladder().num_levels() {
             let entries = pruner.hop_entries(level - 1, level).tune;
             if entries > 0 {
@@ -372,18 +395,26 @@ impl RuntimeManager {
         })
     }
 
-    /// Creates the spill device and writes the sealed base-image record
-    /// (an unbudgeted bootstrap write: the runtime is not ticking yet).
+    /// Creates the spill device and writes its base record.
     fn enable_spill(&mut self) -> Result<()> {
         let Some(cfg) = self.config.spill.clone() else {
             return Ok(());
         };
-        let mut log = match &cfg.path {
+        let log = match &cfg.path {
             Some(p) => DurableLog::create(p)
                 .map_err(|e| RuntimeError::bad_config(format!("spill device {p}: {e}")))?,
             None => DurableLog::in_memory(),
         };
-        let payload = prune_spill::encode_base(&self.plant.net, 0);
+        self.bootstrap_spill(log, cfg)
+    }
+
+    /// Writes the sealed base record onto an empty spill device — the
+    /// pristine weight image, then the pruner's tune record (empty for
+    /// untuned ladders) — and installs the spill state. An unbudgeted
+    /// bootstrap write: the runtime is not ticking yet.
+    fn bootstrap_spill(&mut self, mut log: DurableLog, cfg: SpillConfig) -> Result<()> {
+        let mut payload = prune_spill::encode_base(&self.plant.net, 0);
+        payload.extend_from_slice(&self.plant.pruner.tune_record());
         let frame = prune_spill::frame_record(RecordKind::Base, &payload);
         log.append(&frame)
             .map_err(|e| RuntimeError::bad_config(format!("spill bootstrap append: {e}")))?;
@@ -395,30 +426,36 @@ impl RuntimeManager {
 
     /// Rebuilds a runtime from a crashed run's spill device.
     ///
-    /// Scans the device, discards any torn tail, restores the pristine
-    /// base image onto `net`, then replays the latest commit mark whose
-    /// segment manifest is satisfiable: reversal-log segments are
-    /// reinstalled, recorded in-RAM corruption is reproduced bit-exactly
-    /// (log and weight patches), and the cross-stage knowledge, RNG
-    /// streams, storage health, stage state, and trace numbering resume
-    /// where the crashed run sealed them. Without a usable mark the
-    /// manager starts fresh (tick 0) on the surviving device.
+    /// Scans the device once, discards any torn tail, restores the
+    /// pristine base image onto `net` and attaches the pruner from the
+    /// base record's tune hops, so a fine-tuned ladder is never trained
+    /// again. It then replays the latest commit mark whose segment
+    /// manifest is satisfiable: reversal-log segments are reinstalled,
+    /// recorded in-RAM corruption is reproduced bit-exactly (log and
+    /// weight patches), and the cross-stage knowledge, RNG streams,
+    /// storage health, stage state, and trace numbering resume where
+    /// the crashed run sealed them. Without a usable mark the manager
+    /// starts at tick 0 on the surviving device. A base record whose
+    /// image does not fit `net`, or whose tune record does not fit the
+    /// ladder, is unusable: the device is reset and the manager starts
+    /// fresh, exactly like a first attach.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::BadConfig`] when the device cannot be
     /// read, or propagates attach/replay errors.
     pub fn recover(
-        net: Network,
+        mut net: Network,
         ladder: SparsityLadder,
         config: RuntimeManagerConfig,
         mut log: DurableLog,
     ) -> Result<(Self, RecoveryReport)> {
+        let plans = plan_ladder(&net, &ladder, &config)?;
         let spill_cfg = config.spill.clone().unwrap_or_default();
         let bytes = log
             .read_all()
             .map_err(|e| RuntimeError::bad_config(format!("spill device read: {e}")))?;
-        let res = crate::spill::resolve_scan(&bytes);
+        let mut res = crate::spill::resolve_scan(&bytes);
         log.truncate(res.valid_len)
             .map_err(|e| RuntimeError::bad_config(format!("spill device truncate: {e}")))?;
         let valid = &bytes[..res.valid_len as usize];
@@ -431,12 +468,22 @@ impl RuntimeManager {
             log_patches_applied: 0,
             weight_patches_applied: 0,
         };
-        let mut net = net;
-        let base_ok = match &res.base_payload {
-            Some(payload) => prune_spill::apply_base(&mut net, payload).is_ok(),
-            None => false,
+        let recorded = res.base_payload.take().and_then(|payload| {
+            let (image, tune_record) = prune_spill::split_base(&payload).ok()?;
+            let mut base = net.clone();
+            prune_spill::apply_base(&mut base, image).ok()?;
+            let pruner =
+                ReversiblePruner::attach_recorded(&mut base, ladder.clone(), tune_record).ok()?;
+            Some((base, pruner))
+        });
+        let base_ok = recorded.is_some();
+        let mut mgr = match recorded {
+            Some((base, pruner)) => Self::attach_core(base, pruner, plans, config)?,
+            None => {
+                let pruner = Self::attach_pruner(&mut net, ladder, &config)?;
+                Self::attach_core(net, pruner, plans, config)?
+            }
         };
-        let mut mgr = Self::attach_core(net, ladder, config)?;
         let mark = if base_ok { res.best_mark().cloned() } else { None };
         if let Some(m) = &mark {
             let mut segments = Vec::with_capacity(m.manifest.len());
@@ -472,18 +519,12 @@ impl RuntimeManager {
         if base_ok {
             mgr.plant.spill = Some(res.rebuild_spill(valid, log, spill_cfg, mark.as_ref()));
         } else {
-            // No usable base image survived, so nothing on the device
+            // No usable base record survived, so nothing on the device
             // can ever be replayed: reset it and bootstrap a sealed
             // base record exactly like a first attach.
             log.truncate(0)
                 .map_err(|e| RuntimeError::bad_config(format!("spill device reset: {e}")))?;
-            let payload = prune_spill::encode_base(&mgr.plant.net, 0);
-            let frame = prune_spill::frame_record(RecordKind::Base, &payload);
-            log.append(&frame)
-                .map_err(|e| RuntimeError::bad_config(format!("spill bootstrap append: {e}")))?;
-            log.sync()
-                .map_err(|e| RuntimeError::bad_config(format!("spill bootstrap sync: {e}")))?;
-            mgr.plant.spill = Some(SpillState::fresh(log, spill_cfg, frame));
+            mgr.bootstrap_spill(log, spill_cfg)?;
         }
         Ok((mgr, report))
     }

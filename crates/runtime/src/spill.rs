@@ -599,17 +599,20 @@ fn disk_reload_inner(
     trace: &mut TickTrace,
 ) -> bool {
     let frame = spill.base_frame();
-    if !codec::verify_frame(frame) {
-        return false;
-    }
+    let scanned = codec::scan(frame);
+    let base = match scanned.records.as_slice() {
+        [base] if base.kind == RecordKind::Base && scanned.valid_len == frame.len() as u64 => base,
+        _ => return false,
+    };
     let Ok(lat) = plant.storage.read_latency(&chain.soc, chain.model_bytes, t) else {
         return false;
     };
-    let records = codec::scan(frame).records;
-    let Some(base) = records.first().filter(|r| r.kind == RecordKind::Base) else {
+    // The frame carries the tune record after the weight image; only the
+    // image is reloaded.
+    let Ok((image, _)) = codec::split_base(&base.payload) else {
         return false;
     };
-    if codec::apply_base(&mut plant.net, &base.payload).is_err() {
+    if codec::apply_base(&mut plant.net, image).is_err() {
         return false;
     }
     if plant.pruner.adopt_full_restore(&plant.net).is_err() {
@@ -1026,47 +1029,65 @@ impl MarkState {
 // Device-scan resolution for recovery
 // ---------------------------------------------------------------------
 
-/// What a device scan resolved for recovery: the base image, the latest
-/// payload per segment content hash, and every decodable mark
-/// (device order).
+/// What a device scan resolved for recovery: the base record's payload,
+/// the latest payload per segment content hash, every decodable mark
+/// (device order), and where each verified record sits on the device.
 pub(crate) struct ScanResolution {
     pub base_payload: Option<Vec<u8>>,
     pub records_scanned: usize,
     pub marks: Vec<MarkState>,
     pub segments_by_hash: std::collections::HashMap<u64, Vec<u8>>,
     pub valid_len: u64,
+    /// One entry per verified record, in device order; segment indices
+    /// are resolved against the replayed manifest by `rebuild_spill`.
+    entries: Vec<Entry>,
 }
 
-/// Scans raw device bytes into the pieces recovery works from.
+/// Scans raw device bytes into the pieces recovery works from. The one
+/// scan of a recovery: payloads move out of it, and `rebuild_spill`
+/// works from the recorded entries.
 pub(crate) fn resolve_scan(bytes: &[u8]) -> ScanResolution {
     let outcome = codec::scan(bytes);
     let mut base_payload = None;
     let mut marks = Vec::new();
     let mut segments_by_hash = std::collections::HashMap::new();
-    for rec in &outcome.records {
-        match rec.kind {
+    let mut entries = Vec::with_capacity(outcome.records.len());
+    for rec in outcome.records {
+        let kind = match rec.kind {
             RecordKind::Base => {
                 if base_payload.is_none() {
-                    base_payload = Some(rec.payload.clone());
+                    base_payload = Some(rec.payload);
                 }
+                EntryKind::Base
             }
             RecordKind::Segment => {
                 let hash = codec::payload_hash(&rec.payload);
-                segments_by_hash.insert(hash, rec.payload.clone());
+                segments_by_hash.insert(hash, rec.payload);
+                EntryKind::Segment {
+                    index: usize::MAX,
+                    hash,
+                }
             }
             RecordKind::Mark => {
                 if let Some(m) = decode_mark(&rec.payload) {
                     marks.push(m);
                 }
+                EntryKind::Mark
             }
-        }
+        };
+        entries.push(Entry {
+            offset: rec.offset,
+            frame_len: rec.frame_len,
+            kind,
+        });
     }
     ScanResolution {
         base_payload,
-        records_scanned: outcome.records.len(),
+        records_scanned: entries.len(),
         marks,
         segments_by_hash,
         valid_len: outcome.valid_len,
+        entries,
     }
 }
 
@@ -1081,29 +1102,24 @@ impl ScanResolution {
         })
     }
 
-    /// Rebuilds the spill's device bookkeeping (entries + view) from
-    /// the scanned bytes, for the recovered manager.
+    /// Rebuilds the spill's device bookkeeping (entries + view) for the
+    /// recovered manager from the scanned entries and the valid device
+    /// prefix `bytes`, moving the manifest's segment payloads into the
+    /// view.
     pub(crate) fn rebuild_spill(
-        &self,
+        mut self,
         bytes: &[u8],
         log: DurableLog,
         config: SpillConfig,
         mark: Option<&MarkState>,
     ) -> SpillState {
-        let outcome = codec::scan(bytes);
-        let mut entries = Vec::with_capacity(outcome.records.len());
-        // Map content hash -> view index for the resumed manifest.
-        let manifest: Vec<u64> = mark.map(|m| m.manifest.clone()).unwrap_or_default();
+        let manifest: &[u64] = mark.map_or(&[], |m| &m.manifest);
         let dirty: std::collections::HashSet<u32> = mark
             .map(|m| m.log_patches.iter().map(|&(seg, _, _)| seg).collect())
             .unwrap_or_default();
         let mut view = Vec::with_capacity(manifest.len());
         for (i, &hash) in manifest.iter().enumerate() {
-            let payload = self
-                .segments_by_hash
-                .get(&hash)
-                .cloned()
-                .unwrap_or_default();
+            let payload = self.segments_by_hash.remove(&hash).unwrap_or_default();
             let seal = LevelDelta::from_spill_payload(&payload)
                 .map(|d| d.checksum)
                 .unwrap_or(0);
@@ -1117,29 +1133,23 @@ impl ScanResolution {
         }
         let mut base_frame = Vec::new();
         let mut base_durable = false;
-        for rec in &outcome.records {
-            let kind = match rec.kind {
-                RecordKind::Base => {
-                    if !base_durable {
-                        base_frame = codec::frame_record(RecordKind::Base, &rec.payload);
-                        base_durable = true;
-                    }
-                    EntryKind::Base
+        for e in &mut self.entries {
+            match &mut e.kind {
+                EntryKind::Base if !base_durable => {
+                    let start = e.offset as usize;
+                    base_frame = bytes[start..start + e.frame_len as usize].to_vec();
+                    base_durable = true;
                 }
-                RecordKind::Segment => {
-                    let hash = codec::payload_hash(&rec.payload);
-                    let index = manifest.iter().position(|&h| h == hash).unwrap_or(usize::MAX);
-                    EntryKind::Segment { index, hash }
+                EntryKind::Segment { index, hash } => {
+                    *index = manifest
+                        .iter()
+                        .position(|h| h == hash)
+                        .unwrap_or(usize::MAX);
                 }
-                RecordKind::Mark => EntryKind::Mark,
-            };
-            entries.push(Entry {
-                offset: rec.offset,
-                frame_len: rec.frame_len,
-                kind,
-            });
+                _ => {}
+            }
         }
-        SpillState::with_entries(log, config, base_frame, base_durable, entries, view)
+        SpillState::with_entries(log, config, base_frame, base_durable, self.entries, view)
     }
 }
 

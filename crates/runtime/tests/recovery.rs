@@ -114,11 +114,24 @@ fn recover_and_resume(
     reprune_runtime::RecoveryReport,
     reprune_runtime::RunResult,
 ) {
+    recover_and_resume_with(scenario, device, fine_tuned, config())
+}
+
+/// [`recover_and_resume`] under a recovery-side configuration.
+fn recover_and_resume_with(
+    scenario: &Scenario,
+    device: Vec<u8>,
+    fine_tuned: bool,
+    cfg: RuntimeManagerConfig,
+) -> (
+    RuntimeManager,
+    reprune_runtime::RecoveryReport,
+    reprune_runtime::RunResult,
+) {
     let net = model();
     let ladder = build_ladder(&net, fine_tuned);
     let (mut mgr, report) =
-        RuntimeManager::recover(net, ladder, config(), DurableLog::from_bytes(device))
-            .expect("recover");
+        RuntimeManager::recover(net, ladder, cfg, DurableLog::from_bytes(device)).expect("recover");
     let start = mgr.resume_tick();
     let tail = mgr.run_from(scenario, start).expect("resumed run");
     (mgr, report, tail)
@@ -200,9 +213,9 @@ fn kill_and_resume_is_byte_identical() {
 fn fine_tuned_kill_and_resume_is_byte_identical() {
     // A fleet member whose ladder carries per-level fine-tune deltas:
     // the spill persists the fine-tune segments next to the eviction
-    // segments, and recovery re-runs the deterministic attach-time
-    // tuning walk before reinstalling the log — so the resumed tail must
-    // still be byte-identical to an uninterrupted run.
+    // segments and the tune hops in its base record, and recovery
+    // attaches from those hops before reinstalling the log — so the
+    // resumed tail must still be byte-identical to an uninterrupted run.
     let scenario = storm_scenario(StormConfig::severe(10.0, 50.0));
     let (full_mgr, full) = uninterrupted(&scenario, true);
     assert!(full_mgr.faults_injected() > 0, "storm must land faults");
@@ -220,6 +233,108 @@ fn fine_tuned_kill_and_resume_is_byte_identical() {
     let start = resumed_mgr.resume_tick();
     assert!(start > 0 && start <= CRASH_AT);
     assert_tail_identical(&full_mgr, &full, &resumed_mgr, &tail, start);
+}
+
+/// A recovery-side configuration whose calibration set is empty:
+/// attach-time training rejects it, so only a recovery that never
+/// trains can succeed with it.
+fn untrainable_config() -> RuntimeManagerConfig {
+    config().fine_tune_data(FineTuneData {
+        samples: 0,
+        seed: 7,
+    })
+}
+
+#[test]
+fn fine_tuned_recovery_does_not_train() {
+    let net = model();
+    let ladder = ft_ladder(&net);
+    assert!(
+        RuntimeManager::attach(net, ladder, untrainable_config()).is_err(),
+        "an empty calibration set must make training fail"
+    );
+    let scenario = storm_scenario(StormConfig::severe(10.0, 50.0));
+    let (full_mgr, full) = uninterrupted(&scenario, true);
+    let device = crash_at(&scenario, CRASH_AT, true);
+    let (resumed_mgr, report, tail) =
+        recover_and_resume_with(&scenario, device, true, untrainable_config());
+    assert!(report.resumed, "a mid-storm device must hold a usable mark");
+    let start = resumed_mgr.resume_tick();
+    assert!(start > 0 && start <= CRASH_AT);
+    assert_tail_identical(&full_mgr, &full, &resumed_mgr, &tail, start);
+}
+
+#[test]
+fn fine_tuned_crash_before_any_mark_restarts_like_a_plain_attach() {
+    let scenario = storm_scenario(StormConfig::severe(10.0, 50.0));
+    let (mut full_mgr, full) = uninterrupted(&scenario, true);
+    // Killed before the first tick: the device holds only the base
+    // record, so recovery starts at tick 0 on it — still without
+    // training, from the recorded tune hops.
+    let device = crash_at(&scenario, 0, true);
+    let net = model();
+    let ladder = ft_ladder(&net);
+    let (mut mgr, report) = RuntimeManager::recover(
+        net,
+        ladder,
+        untrainable_config(),
+        DurableLog::from_bytes(device),
+    )
+    .expect("recover");
+    assert!(!report.resumed);
+    assert_eq!(mgr.resume_tick(), 0);
+    let run = mgr.run(&scenario).expect("run after recovery");
+    assert_eq!(run.records, full.records);
+    assert_eq!(run.trace_json_lines(), full.trace_json_lines());
+    assert_eq!(mgr.pruner_integrity(), full_mgr.pruner_integrity());
+    assert_eq!(
+        mgr.spill_device_bytes(),
+        full_mgr.spill_device_bytes(),
+        "the restarted device grew exactly as a first attach's did"
+    );
+}
+
+#[test]
+fn fine_tuned_base_without_tune_record_starts_fresh() {
+    use reprune_prune::spill::{frame_record, scan, split_base};
+    use reprune_prune::RecordKind;
+    let scenario = storm_scenario(StormConfig::severe(10.0, 50.0));
+    let (_, full) = uninterrupted(&scenario, true);
+    let device = crash_at(&scenario, CRASH_AT, true);
+    // Re-frame the base record as the bare weight image, the way a
+    // device written before tune records holds it.
+    let scanned = scan(&device);
+    let base = &scanned.records[0];
+    assert_eq!(base.kind, RecordKind::Base);
+    let (image, tune_record) = split_base(&base.payload).expect("base record splits");
+    assert!(
+        !tune_record.is_empty(),
+        "a fine-tuned base record carries its tune hops"
+    );
+    let mut old = frame_record(RecordKind::Base, image);
+    old.extend_from_slice(&device[base.frame_len as usize..]);
+    assert!(
+        scan(&old).records.len() > 2,
+        "the rest of the device is intact"
+    );
+
+    let net = model();
+    let ladder = ft_ladder(&net);
+    let (mut mgr, report) =
+        RuntimeManager::recover(net, ladder, config(), DurableLog::from_bytes(old))
+            .expect("a base record without tune hops must not error");
+    assert!(
+        !report.resumed,
+        "an unusable base record must not be resumed from"
+    );
+    assert_eq!(mgr.resume_tick(), 0);
+    // The reset device's new base record carries the tune hops again.
+    let reset = mgr.spill_device_bytes().expect("spill enabled");
+    let rebuilt = scan(&reset);
+    let (_, tune_record) = split_base(&rebuilt.records[0].payload).expect("base record splits");
+    assert!(!tune_record.is_empty());
+    let run = mgr.run(&scenario).expect("fresh run");
+    assert_eq!(run.records, full.records);
 }
 
 #[test]
