@@ -23,9 +23,9 @@
 //! * the fleet suite (`BENCH_fleet.json`): `FleetRuntime::step_all` on
 //!   1/2/4/8 stepping threads vs serial (the `fleet_step_pooled_*`
 //!   entries keep their names), shared-vs-copied weight bytes,
-//!   budget-planner scaling (8 -> 64 members from scratch), and the
-//!   dirty-set incremental planner replanning a 10k-member fleet with
-//!   ~1% of risks moving per tick.
+//!   budget-planner scaling (8 -> 64 members), and `FleetPlanner`
+//!   replanning a 10k-member fleet with ~1% of risks moving per tick,
+//!   on shared and on per-member profiles.
 //!
 //! `--quick` shrinks sizes and batch counts for CI smoke and skips the
 //! *timing* assertions — quick mode fails only on a panic (a real bug),
@@ -867,9 +867,9 @@ fn main() {
 
         // Budget-planner scaling: an 8x-larger fleet planned to its
         // envelope floor (budget 0 forces the maximum number of greedy
-        // moves). The incremental-energy loop is O(moves x members) =
-        // O(members²) here; the old per-move total recompute made it
-        // cubic, so an 8x fleet must cost well under 8³ = 512x.
+        // moves). The heap greedy is O(moves x log members); a rescan per
+        // move is O(members²) here and a per-move total recompute cubic,
+        // so an 8x fleet must cost well under 8³ = 512x.
         let synth = |n: usize| -> (Vec<FleetMember>, Vec<f64>) {
             let members = (0..n)
                 .map(|i| {
@@ -922,63 +922,107 @@ fn main() {
             format!("{plan_scaling:.3}"),
         ));
 
-        // Dirty-set planner at fleet scale: 10k members with ~1% of
-        // risks moving per tick, the regime the stateful planner is
-        // built for. Its bucketed greedy costs O(classes + members) per
-        // replan instead of O(moves x members), so a 156x-larger fleet
-        // must plan within the 64-member from-scratch budget scaled by
-        // no more than the 8->64 factor above (the acceptance shape:
-        // plan_scaling_10k_over_64 <= plan_scaling_64_over_8).
-        let (huge_m, mut huge_r) = synth(10_000);
-        let mut planner = FleetPlanner::new(huge_m.clone()).expect("planner builds");
-        // Exactness at scale, outside the timing loop: the stateful
-        // plan must equal from-scratch planning byte-for-byte.
-        let scratch10k =
-            plan_budget_prevalidated(&huge_m, &huge_r, Some(Joules(0.0))).expect("plan");
-        assert_eq!(
-            planner.plan(&huge_r, Some(Joules(0.0))).expect("plan"),
-            scratch10k,
-            "incremental plan must match scratch at 10k members"
-        );
+        // Fleet-scale replans through `FleetPlanner`: 10k members, and
+        // before every replan ~1% of the risks move. That moves some
+        // bands, so every timed call is a full heap replan (the quiet-tick
+        // cache never hits). `plan_budget_10k_incremental` runs the
+        // 35-profile synth above; `plan_budget_10k_distinct` gives every
+        // member its own profile (a jittered energy factor and utility
+        // drop). The greedy costs O(moves x log members), so cost per
+        // member may grow with log n and no faster: full mode asserts
+        // each 10k entry's per-member cost within 4 x (log2 10k / log2 64)
+        // of the 64-member plan's.
+        let distinct = |n: usize| -> (Vec<FleetMember>, Vec<f64>) {
+            let mut rng = Prng::new(0x10C0);
+            let mut unit = || (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+            let members = (0..n)
+                .map(|i| {
+                    let f = 1.0 + unit() * 0.75;
+                    let drop = 0.001 + unit() * 0.04;
+                    FleetMember {
+                        name: format!("d{i}"),
+                        envelope: SafetyEnvelope::evenly_spaced(4, 0.6).expect("envelope"),
+                        energy_per_level: [10.0, 7.0, 4.0, 2.0]
+                            .iter()
+                            .map(|&e| Joules(e * f))
+                            .collect(),
+                        utility_per_level: vec![0.95, 0.93 - drop, 0.88, 0.60],
+                    }
+                })
+                .collect();
+            let risks = (0..n).map(|i| (i % 10) as f64 * 0.05).collect();
+            (members, risks)
+        };
+        let floor = Some(Joules(0.0));
         let mut lcg = 0x2545_F491_4F6C_DD1Du64;
-        let stat10k = measure(
-            "plan_budget_10k_incremental",
-            cfg.plan_batches,
-            cfg.plan_iters,
-            || {
+        let mut replan_10k = |name: &str, (members, mut risks): (Vec<FleetMember>, Vec<f64>)| {
+            let mut planner = FleetPlanner::new(members.clone()).expect("planner builds");
+            // Exactness at scale, outside the timing loop: the stateful
+            // plan must equal the stateless one byte-for-byte.
+            assert_eq!(
+                planner.plan(&risks, floor).expect("plan"),
+                plan_budget_prevalidated(&members, &risks, floor).expect("plan"),
+                "{name}: FleetPlanner must match plan_budget_prevalidated"
+            );
+            let stat = measure(name, cfg.plan_batches, cfg.plan_iters, || {
                 // Deterministically move ~1% of the risks, then replan.
                 for _ in 0..100 {
                     lcg = lcg
                         .wrapping_mul(6_364_136_223_846_793_005)
                         .wrapping_add(1_442_695_040_888_963_407);
-                    let i = (lcg >> 33) as usize % huge_r.len();
-                    huge_r[i] = ((lcg >> 11) & 0x3FF) as f64 / 1024.0;
+                    let i = (lcg >> 33) as usize % risks.len();
+                    risks[i] = ((lcg >> 11) & 0x3FF) as f64 / 1024.0;
                 }
-                planner.plan(&huge_r, Some(Joules(0.0))).expect("plan")
-            },
-        );
-        // And again after the mutation storm: the planner's caches must
-        // not have drifted from the from-scratch oracle.
-        assert_eq!(
-            planner.plan(&huge_r, Some(Joules(0.0))).expect("plan"),
-            plan_budget_prevalidated(&huge_m, &huge_r, Some(Joules(0.0))).expect("plan"),
-            "incremental plan drifted from scratch after the mutation storm"
-        );
+                planner.plan(&risks, floor).expect("plan")
+            });
+            // And again after the mutation storm: the planner's bands
+            // and cache must not have drifted.
+            assert_eq!(
+                planner.plan(&risks, floor).expect("plan"),
+                plan_budget_prevalidated(&members, &risks, floor).expect("plan"),
+                "{name}: FleetPlanner drifted after the mutation storm"
+            );
+            stat
+        };
+        let stat10k = replan_10k("plan_budget_10k_incremental", synth(10_000));
+        let stat10k_distinct = replan_10k("plan_budget_10k_distinct", distinct(10_000));
         let plan_scaling_10k = stat10k.median_ns / plan64_ns;
+        let per_member_64 = plan64_ns / 64.0;
+        let per_member_ratio = (stat10k.median_ns / 10_000.0) / per_member_64;
+        let per_member_ratio_distinct = (stat10k_distinct.median_ns / 10_000.0) / per_member_64;
+        let per_member_bound = 4.0 * 10_000f64.log2() / 64f64.log2();
         println!(
-            "  plan_budget 10k incremental: {:.0} ns ({plan_scaling_10k:.1}x the 64-member scratch plan, {:.1} ns/member)",
-            stat10k.median_ns,
-            stat10k.median_ns / 10_000.0
+            "  plan_budget 10k replan: {:.0} ns shared profiles, {:.0} ns per-member profiles \
+             (per member {per_member_ratio:.2}x / {per_member_ratio_distinct:.2}x the 64-member plan, \
+             bound {per_member_bound:.2}x)",
+            stat10k.median_ns, stat10k_distinct.median_ns
         );
         fderived.push((
             "plan_ns_per_member_10k".to_string(),
             format!("{:.1}", stat10k.median_ns / 10_000.0),
         ));
         fderived.push((
+            "plan_ns_per_member_10k_distinct".to_string(),
+            format!("{:.1}", stat10k_distinct.median_ns / 10_000.0),
+        ));
+        fderived.push((
             "plan_scaling_10k_over_64".to_string(),
             format!("{plan_scaling_10k:.3}"),
         ));
+        fderived.push((
+            "plan_per_member_10k_over_64".to_string(),
+            format!("{per_member_ratio:.3}"),
+        ));
+        fderived.push((
+            "plan_per_member_10k_distinct_over_64".to_string(),
+            format!("{per_member_ratio_distinct:.3}"),
+        ));
+        fderived.push((
+            "plan_per_member_bound".to_string(),
+            format!("{per_member_bound:.3}"),
+        ));
         fstats.push(stat10k);
+        fstats.push(stat10k_distinct);
 
         // Validation hoisting: the per-tick arbitration path skips the
         // O(members x levels) profile re-check FleetRuntime did once at
@@ -1005,11 +1049,16 @@ fn main() {
                 "plan_budget must scale sub-cubically: 8x members cost {plan_scaling:.1}x \
                  (quadratic bound with headroom is 128x)"
             );
-            assert!(
-                plan_scaling_10k <= plan_scaling,
-                "10k-member incremental planning must cost no more over the 64-member \
-                 scratch plan ({plan_scaling_10k:.1}x) than 64 cost over 8 ({plan_scaling:.1}x)"
-            );
+            for (name, ratio) in [
+                ("plan_budget_10k_incremental", per_member_ratio),
+                ("plan_budget_10k_distinct", per_member_ratio_distinct),
+            ] {
+                assert!(
+                    ratio <= per_member_bound,
+                    "{name}: cost per member must stay within {per_member_bound:.2}x of the \
+                     64-member plan's, 4 x (log2 10k / log2 64) (got {ratio:.2}x)"
+                );
+            }
             if cores >= 4 {
                 assert!(
                     step_speedup >= 1.8,

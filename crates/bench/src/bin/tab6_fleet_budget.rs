@@ -296,19 +296,20 @@ fn main() {
     print_rule(&widths);
 
     let mut utilities_low_risk = Vec::new();
-    // The stateful dirty-set planner rides along through the whole
-    // budget/risk sweep — a live mutation sequence — and must agree
-    // byte-for-byte with every from-scratch plan. It asserts silently,
-    // so stdout shows only the from-scratch table.
+    // The fleet executor's stateful planner rides along through the
+    // whole budget/risk sweep — a live mutation sequence that exercises
+    // its risk bands and plan cache — and must agree byte-for-byte with
+    // every stateless `plan_budget` plan. It asserts silently, so stdout
+    // shows only the stateless table.
     let mut planner = FleetPlanner::new(members.to_vec()).expect("planner builds");
     for (risks, label) in [([0.05, 0.05], "calm"), ([0.9, 0.05], "p-risk")] {
         for budget_frac in [1.0, 0.8, 0.6, 0.4, 0.3] {
             let budget = Joules(full_energy.0 * budget_frac);
             let plan = plan_budget(&members, &risks, Some(budget)).expect("plan");
             assert_eq!(
-                planner.plan(&risks, Some(budget)).expect("incremental plan"),
+                planner.plan(&risks, Some(budget)).expect("FleetPlanner plan"),
                 plan,
-                "incremental plan diverged from scratch at {label} {budget_frac}"
+                "FleetPlanner diverged from plan_budget at {label} {budget_frac}"
             );
             if label == "calm" {
                 utilities_low_risk.push((budget_frac, plan.total_utility, plan.feasible));
@@ -342,9 +343,9 @@ fn main() {
     assert_eq!(
         planner
             .plan(&[0.9, 0.0], Some(Joules(full_energy.0 * 0.3)))
-            .expect("incremental plan"),
+            .expect("FleetPlanner plan"),
         pinned,
-        "incremental planner agrees on the pinned-risk plan"
+        "FleetPlanner agrees on the pinned-risk plan"
     );
     println!("\nshape checks passed: live fleet stays safe under arbitration; budget trades utility greedily; safety is never traded.");
 }

@@ -6,7 +6,7 @@
 //! **runs** the fleet. Every tick:
 //!
 //! 1. **Arbitrate** — the members' current risks and the tick's budget
-//!    become per-member ladder levels through the stateful dirty-set
+//!    become per-member ladder levels through the heap-ordered greedy of
 //!    [`FleetPlanner`] (DESIGN.md §15), whose plans are byte-identical
 //!    to [`crate::fleet::plan_budget_prevalidated`]. Member profiles are
 //!    validated once, at construction; a member whose Knowledge bumps
@@ -175,12 +175,11 @@ pub struct FleetRuntime {
     managers: Vec<RuntimeManager>,
     workers: usize,
     /// The budget arbiter. It owns the validated member profiles and
-    /// keeps its dirty-set and plan cache across ticks.
+    /// keeps each member's risk band and its plan cache across ticks.
     planner: FleetPlanner,
-    /// Per-member [`crate::knowledge::Knowledge::plan_epoch`] snapshot:
-    /// the profile half of the dirty-set. A member whose manager bumped
-    /// its epoch gets its profile re-derived (and re-validated) before
-    /// the next arbitration.
+    /// Per-member [`crate::knowledge::Knowledge::plan_epoch`] snapshot.
+    /// A member whose manager bumped its epoch gets its profile
+    /// re-derived (and re-validated) before the next arbitration.
     planner_epochs: Vec<u64>,
     /// Wall-clock seconds the most recent arbitration took.
     last_plan_s: f64,
@@ -264,8 +263,8 @@ impl FleetRuntime {
         self.workers = workers.max(1);
     }
 
-    /// Statistics of the most recent arbitration (dirty-set occupancy,
-    /// cache hits); all zero before the first step.
+    /// Statistics of the most recent arbitration (risk changes, band
+    /// moves, cache hits); all zero before the first step.
     pub fn planner_stats(&self) -> PlannerStats {
         self.planner.stats()
     }

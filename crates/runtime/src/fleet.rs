@@ -5,7 +5,9 @@
 //! control). Reversible pruning makes each of them a dial; this module
 //! holds the fleet *data model* — [`FleetMember`] profiles (validated once,
 //! at admission) and the [`BudgetPlan`] allocation they produce. The
-//! planners themselves live in [`crate::planner`]: [`plan_budget`] picks
+//! planner lives in [`crate::planner`]: one heap-ordered greedy, which
+//! [`plan_budget`] and the fleet executor's
+//! [`FleetPlanner`](crate::planner::FleetPlanner) both run, picks
 //! per-member ladder levels that
 //!
 //! 1. **never** violate any member's safety envelope at the current risk
@@ -82,7 +84,7 @@ impl FleetMember {
         }
         // A NaN would sail through the monotonicity windows below (every
         // comparison false), then poison the planner's score arithmetic
-        // and its bitwise tie grouping. Validation runs once at admission,
+        // and its tie order. Validation runs once at admission,
         // so the planner hot path may assume finite profiles.
         if self.energy_per_level.iter().any(|e| !e.0.is_finite())
             || self.utility_per_level.iter().any(|u| !u.is_finite())

@@ -167,11 +167,10 @@ pub struct Knowledge {
     /// [`Knowledge::note_plan_relevant_change`] whenever the per-level
     /// cost profile changes after attach (e.g. an energy reprofile). A
     /// fleet arbiter snapshots it per member and re-derives that member's
-    /// [`crate::fleet::FleetMember`] profile only when the epoch moved —
-    /// the profile half of the incremental planner's dirty-set. Purely
-    /// derived bookkeeping: it carries no plan state of its own, so a
-    /// runtime rebuilt from a recovery device (epoch back at zero) plans
-    /// identically.
+    /// [`crate::fleet::FleetMember`] profile only when the epoch moved.
+    /// Purely derived bookkeeping: it carries no plan state of its own,
+    /// so a runtime rebuilt from a recovery device (epoch back at zero)
+    /// plans identically.
     pub plan_epoch: u64,
 }
 

@@ -1,41 +1,27 @@
-//! The fleet budget planner: the from-scratch greedy oracle and the
-//! stateful dirty-set / bucketed planner built on top of it.
+//! The fleet budget planner: one heap-ordered greedy (DESIGN.md §15).
 //!
-//! [`plan_budget`] / [`plan_budget_prevalidated`] are the reference
-//! greedy — every member starts at full capacity and the planner
+//! Every member starts at full capacity (level 0). The greedy then
 //! repeatedly raises the level of whichever member sheds the most energy
-//! per unit utility lost (ties to the lowest member index), never past
-//! the member's safety envelope, until the budget is met. They re-plan
-//! the whole fleet from scratch on every call, which is superlinear in
-//! members.
+//! per unit utility lost, ties to the lowest member index, never past
+//! the member's safety envelope, until the budget is met or no safe
+//! move remains. A member's next move score depends only on its own
+//! level, so a max-heap holding one entry per member that can still
+//! move pops the same member that a rescan of the whole fleet would
+//! pick. The moves, and the sequential float energy updates they make,
+//! therefore come in the rescan's exact order, at O(moves × log
+//! members) instead of O(moves × members).
 //!
-//! [`FleetPlanner`] produces **byte-identical plans** at a fraction of
-//! the cost by exploiting two structural facts (DESIGN.md §15):
-//!
-//! 1. **Dirty-set** — a plan depends on risks only through each member's
-//!    *allowed band* (`envelope.max_level(risk)`). Risks are cached
-//!    bitwise; members whose band did not move since the last tick keep
-//!    their bucket slot, and a tick that moves no bands under an
-//!    unchanged budget returns the cached plan outright.
-//! 2. **Bucketing** — members with identical profiles (energy, utility,
-//!    envelope — a *profile class*) and the same allowed band are
-//!    interchangeable except for index-order tie-breaking. Inside one
-//!    bucket the greedy provably keeps levels non-increasing in member
-//!    index, so a bucket's whole state is a per-level occupancy count
-//!    plus its sorted member list, and the greedy iterates over buckets
-//!    with multiplicity instead of individuals.
-//!
-//! Exactness is preserved move-for-move: tied buckets (same class,
-//! different band — the common case) are advanced through a min-index
-//! head "run" schedule that replays the scratch greedy's move order,
-//! including its float-exact sequential energy updates, and the
-//! reported totals come from the same member-order final re-sum. The
-//! from-scratch-vs-incremental equivalence property test pins this.
+//! [`plan_budget`] and [`plan_budget_prevalidated`] run the greedy on
+//! the inputs they are given. [`FleetPlanner`] runs the same greedy for
+//! the fleet executor: it owns the validated profiles, remembers each
+//! member's last risk band, and serves a quiet tick (no band moved, same
+//! budget) from its last plan.
 
-use crate::envelope::SafetyEnvelope;
 use crate::fleet::{BudgetPlan, FleetMember};
 use crate::{Result, RuntimeError};
 use reprune_platform::Joules;
+use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Plans per-member ladder levels under a shared energy budget.
 ///
@@ -63,9 +49,8 @@ pub fn plan_budget(
 /// [`plan_budget`] without the per-member consistency re-check.
 ///
 /// Member profiles are immutable after construction, so a caller that
-/// validated them once (e.g. `FleetRuntime`, which arbitrates every tick)
-/// can skip the O(members × levels) re-validation on the hot path. Risks
-/// change every tick and are still checked here.
+/// validated them once can skip the O(members × levels) re-validation.
+/// Risks change every tick and are still checked here.
 ///
 /// # Errors
 ///
@@ -77,6 +62,17 @@ pub fn plan_budget_prevalidated(
     risks: &[f64],
     budget: Option<Joules>,
 ) -> Result<BudgetPlan> {
+    check_risks(members, risks)?;
+    Ok(greedy(
+        members,
+        |i| members[i].envelope.max_level(risks[i]),
+        budget,
+    ))
+}
+
+/// Rejects an empty fleet, a risk count that differs from the member
+/// count, and any risk that is not a finite non-negative number.
+fn check_risks(members: &[FleetMember], risks: &[f64]) -> Result<()> {
     if members.is_empty() {
         return Err(RuntimeError::bad_config("fleet is empty"));
     }
@@ -99,202 +95,137 @@ pub fn plan_budget_prevalidated(
             )));
         }
     }
-    let allowed: Vec<usize> = members
-        .iter()
-        .zip(risks)
-        .map(|(m, &r)| m.envelope.max_level(r))
-        .collect();
+    Ok(())
+}
+
+/// The greedy: levels for every member under `budget`, member `i` never
+/// past level `allowed(i)`.
+fn greedy(
+    members: &[FleetMember],
+    allowed: impl Fn(usize) -> usize,
+    budget: Option<Joules>,
+) -> BudgetPlan {
     let mut levels = vec![0usize; members.len()];
-    let total = |levels: &[usize]| -> (Joules, f64) {
-        let e: Joules = members
-            .iter()
-            .zip(levels)
-            .map(|(m, &l)| m.energy_per_level[l])
-            .sum();
-        let u: f64 = members
-            .iter()
-            .zip(levels)
-            .map(|(m, &l)| m.utility_per_level[l])
-            .sum();
-        (e, u)
-    };
     if let Some(budget) = budget {
-        // Track energy incrementally: each greedy move adjusts the running
-        // total by one level delta instead of re-summing all members, so
-        // the loop is O(moves × members) rather than O(moves × members²).
+        // Track energy incrementally: each move adjusts the running total
+        // by one level delta, in move order.
         let mut energy: f64 = members.iter().map(|m| m.energy_per_level[0].0).sum();
-        while energy > budget.0 {
-            // Best next move: max energy saved per utility lost.
-            let mut best: Option<(usize, f64)> = None;
-            for (i, m) in members.iter().enumerate() {
-                if levels[i] >= allowed[i] {
-                    continue;
-                }
-                let l = levels[i];
-                let saved = m.energy_per_level[l].0 - m.energy_per_level[l + 1].0;
-                let score =
-                    move_score(saved, m.utility_per_level[l] - m.utility_per_level[l + 1]);
-                if best.is_none_or(|(_, s)| score > s) {
-                    best = Some((i, score));
-                }
-            }
-            match best {
-                Some((i, _)) => {
-                    let l = levels[i];
-                    energy -= members[i].energy_per_level[l].0
-                        - members[i].energy_per_level[l + 1].0;
-                    levels[i] += 1;
-                }
+        if energy > budget.0 {
+            let mut heap: BinaryHeap<Move> = (0..members.len())
+                .filter(|&i| allowed(i) > 0)
+                .map(|i| Move::of(members, i, 0))
+                .collect();
+            while energy > budget.0 {
                 // No safe moves left: stop and report infeasible below.
-                None => break,
+                let Some(mut best) = heap.peek_mut() else {
+                    break;
+                };
+                let i = best.member;
+                let l = levels[i];
+                let e = &members[i].energy_per_level;
+                energy -= e[l].0 - e[l + 1].0;
+                levels[i] = l + 1;
+                if l + 1 < allowed(i) {
+                    *best = Move::of(members, i, l + 1);
+                } else {
+                    PeekMut::pop(best);
+                }
             }
         }
     }
     // Reported totals (and the feasibility verdict) come from one exact
-    // final re-sum so the incremental loop can never leak float drift
-    // into the plan.
-    let (energy, utility) = total(&levels);
-    Ok(BudgetPlan {
+    // final re-sum in member order, so the running energy can never leak
+    // float drift into the plan.
+    let energy: Joules = members
+        .iter()
+        .zip(&levels)
+        .map(|(m, &l)| m.energy_per_level[l])
+        .sum();
+    let utility: f64 = members
+        .iter()
+        .zip(&levels)
+        .map(|(m, &l)| m.utility_per_level[l])
+        .sum();
+    BudgetPlan {
         levels,
         total_energy: energy,
         total_utility: utility,
         feasible: budget.is_none_or(|b| energy.0 <= b.0),
-    })
+    }
 }
+
+/// One member's next greedy move, as a heap entry: the greater entry
+/// has the higher score under `f64::total_cmp`, then the lower member
+/// index.
+#[derive(Debug, Clone, Copy)]
+struct Move {
+    score: f64,
+    member: usize,
+}
+
+impl Move {
+    /// Member `i`'s move from `level` to `level + 1`.
+    fn of(members: &[FleetMember], i: usize, level: usize) -> Self {
+        let m = &members[i];
+        let saved = m.energy_per_level[level].0 - m.energy_per_level[level + 1].0;
+        let lost = m.utility_per_level[level] - m.utility_per_level[level + 1];
+        Move {
+            score: move_score(saved, lost),
+            member: i,
+        }
+    }
+}
+
+impl Ord for Move {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.score
+            .total_cmp(&other.score)
+            .then_with(|| other.member.cmp(&self.member))
+    }
+}
+
+impl PartialOrd for Move {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Move {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Move {}
 
 /// Score of the greedy move `l -> l+1`: energy saved per unit utility
 /// lost. A zero drop is clamped to `1e-12` (a free move scores huge but
 /// finite). A *negative* drop — utility increasing with level — violates
 /// the profile contract [`FleetMember::validate`] enforces at admission;
-/// on the prevalidated paths, rather than letting the tiny clamp turn the
+/// on the prevalidated path, rather than letting the tiny clamp turn the
 /// violation into the most attractive move in the fleet, it is handled
-/// by sign explicitly and scores `NEG_INFINITY`, which the strict `>`
-/// comparison never picks over any finite alternative. Both the scratch
-/// greedy and the incremental planner's precomputed class scores go
-/// through this one definition, keeping them oracle-equal even on
-/// malformed profiles.
+/// by sign explicitly and scores `NEG_INFINITY`, below every finite
+/// alternative. The `+ 0.0` turns a `-0.0` quotient into `+0.0`, so the
+/// two zeros tie under `total_cmp` as they do under `==`.
 fn move_score(saved: f64, lost: f64) -> f64 {
     if lost < 0.0 {
         f64::NEG_INFINITY
     } else {
-        saved / lost.max(1e-12)
-    }
-}
-
-/// One distinct (energy, utility, envelope) profile shared by a set of
-/// members. Greedy move scores depend only on the class, so they are
-/// precomputed here once at admission time.
-#[derive(Debug, Clone)]
-struct ProfileClass {
-    energy: Vec<f64>,
-    utility: Vec<f64>,
-    /// `scores[l]` = energy saved per utility lost for the move l → l+1,
-    /// exactly as the scratch greedy computes it.
-    scores: Vec<f64>,
-    envelope: SafetyEnvelope,
-}
-
-impl ProfileClass {
-    fn of(member: &FleetMember) -> Self {
-        let energy: Vec<f64> = member.energy_per_level.iter().map(|e| e.0).collect();
-        let utility = member.utility_per_level.clone();
-        let scores = (0..energy.len().saturating_sub(1))
-            .map(|l| move_score(energy[l] - energy[l + 1], utility[l] - utility[l + 1]))
-            .collect();
-        ProfileClass {
-            energy,
-            utility,
-            scores,
-            envelope: member.envelope.clone(),
-        }
-    }
-
-    fn matches(&self, member: &FleetMember) -> bool {
-        self.envelope.thresholds() == member.envelope.thresholds()
-            && self.energy.len() == member.energy_per_level.len()
-            && self
-                .energy
-                .iter()
-                .zip(&member.energy_per_level)
-                .all(|(a, b)| a.to_bits() == b.0.to_bits())
-            && self
-                .utility
-                .iter()
-                .zip(&member.utility_per_level)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    }
-}
-
-/// All members sharing a (profile class, allowed band): interchangeable
-/// in the greedy except for index-order ties.
-#[derive(Debug, Clone)]
-struct Bucket {
-    class: usize,
-    allowed: usize,
-    /// Member indices, ascending. The greedy keeps levels non-increasing
-    /// along this list, so together with `counts` it determines every
-    /// member's cap.
-    ids: Vec<usize>,
-    /// Per-level occupancy during/after a greedy pass.
-    counts: Vec<usize>,
-}
-
-impl Bucket {
-    /// Index into `ids` of the lowest-id member currently at `level`
-    /// (levels deeper than `level` occupy the front of the list).
-    fn offset(&self, level: usize) -> usize {
-        self.counts[level + 1..].iter().sum()
-    }
-}
-
-/// Moves `member` into the bucket keyed `(class, allowed)`, creating it
-/// if needed. `ids` stay sorted (binary insertion).
-fn insert(buckets: &mut Vec<Bucket>, member: usize, class: usize, allowed: usize, levels: usize) {
-    match buckets
-        .iter_mut()
-        .find(|b| b.class == class && b.allowed == allowed)
-    {
-        Some(b) => {
-            let pos = b.ids.partition_point(|&id| id < member);
-            b.ids.insert(pos, member);
-        }
-        None => buckets.push(Bucket {
-            class,
-            allowed,
-            ids: vec![member],
-            counts: vec![0; levels],
-        }),
-    }
-}
-
-/// Removes `member` from the bucket keyed `(class, allowed)`, dropping
-/// the bucket when it empties.
-fn remove(buckets: &mut Vec<Bucket>, member: usize, class: usize, allowed: usize) {
-    let idx = buckets
-        .iter()
-        .position(|b| b.class == class && b.allowed == allowed)
-        .expect("member's cached bucket exists");
-    let b = &mut buckets[idx];
-    let pos = b.ids.partition_point(|&id| id < member);
-    debug_assert_eq!(b.ids.get(pos), Some(&member));
-    b.ids.remove(pos);
-    if b.ids.is_empty() {
-        buckets.swap_remove(idx);
+        saved / lost.max(1e-12) + 0.0
     }
 }
 
 /// Outcome counters of the most recent [`FleetPlanner::plan`] call plus
-/// lifetime cache statistics — what `examples/fleet_storm.rs` prints as
-/// dirty-set occupancy.
+/// lifetime cache statistics, which `examples/fleet_storm.rs` prints.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PlannerStats {
     /// Fleet size.
     pub members: usize,
-    /// Members whose risk changed bitwise on the last call (re-validated
-    /// and re-banded).
+    /// Members whose risk changed bitwise on the last call (their band
+    /// was recomputed).
     pub dirty_members: usize,
     /// Members whose allowed band actually moved on the last call
-    /// (re-bucketed; forces a re-plan).
+    /// (forces a re-plan).
     pub moved_members: usize,
     /// Whether the last call was served from the plan cache.
     pub cache_hit: bool,
@@ -305,8 +236,10 @@ pub struct PlannerStats {
 }
 
 impl PlannerStats {
-    /// Fraction of members re-banded on the last call (`0.0` for a
-    /// cache hit on a quiet tick, `1.0` for a full first plan).
+    /// Fraction of members whose risk changed bitwise on the last call
+    /// (`dirty_members / members`): `0.0` when no risk changed, `1.0`
+    /// on the first plan. A risk change need not move a band, so this
+    /// is at least the fraction of members re-banded.
     pub fn dirty_occupancy(&self) -> f64 {
         if self.members == 0 {
             0.0
@@ -316,41 +249,22 @@ impl PlannerStats {
     }
 }
 
-/// Per-member cached risk state: the bitwise risk and the band it mapped
-/// to. `valid` distinguishes "never planned" from any real risk value
-/// (a sentinel NaN would collide with a caller's NaN bit pattern).
-#[derive(Debug, Clone, Copy)]
-struct RiskSlot {
-    bits: u64,
-    allowed: usize,
-    valid: bool,
-}
-
-/// The stateful incremental budget arbiter. See the module docs for the
-/// architecture; construction validates every member once (admission-time
-/// validation — the per-tick hot path never re-validates a profile), and
-/// [`FleetPlanner::plan`] then produces plans byte-identical to
-/// [`plan_budget_prevalidated`] on every call.
+/// The fleet executor's budget arbiter. Construction validates every
+/// member once, so the per-tick path never re-validates a profile.
+/// [`FleetPlanner::plan`] runs the greedy of [`plan_budget_prevalidated`]
+/// and returns the same plan on every call; a quiet tick, where no
+/// member's band moved and the budget is bitwise unchanged, gets the last
+/// plan back without a replan.
 #[derive(Debug, Clone)]
 pub struct FleetPlanner {
     members: Vec<FleetMember>,
-    classes: Vec<ProfileClass>,
-    class_of: Vec<usize>,
-    risks: Vec<RiskSlot>,
-    /// One bucket table for the whole fleet: the dirty scan, the greedy
-    /// and cap materialization all work on it.
-    buckets: Vec<Bucket>,
-    /// Member-order sum of level-0 energies — the scratch greedy's exact
-    /// starting energy.
-    full_energy: f64,
-    cached: Option<CachedPlan>,
+    /// Each member's last risk (as bits) and the band it mapped to;
+    /// `None` until the first successful plan.
+    bands: Vec<Option<(u64, usize)>>,
+    /// The last plan and the budget bits it was made under: the
+    /// quiet-tick cache. A profile change drops it.
+    last: Option<(Option<u64>, BudgetPlan)>,
     stats: PlannerStats,
-}
-
-#[derive(Debug, Clone)]
-struct CachedPlan {
-    budget_bits: Option<u64>,
-    plan: BudgetPlan,
 }
 
 impl FleetPlanner {
@@ -364,18 +278,19 @@ impl FleetPlanner {
         if members.is_empty() {
             return Err(RuntimeError::bad_config("fleet is empty"));
         }
-        let mut planner = FleetPlanner {
+        for m in &members {
+            m.validate()?;
+        }
+        let n = members.len();
+        Ok(FleetPlanner {
             members,
-            classes: Vec::new(),
-            class_of: Vec::new(),
-            risks: Vec::new(),
-            buckets: Vec::new(),
-            full_energy: 0.0,
-            cached: None,
-            stats: PlannerStats::default(),
-        };
-        planner.rebuild()?;
-        Ok(planner)
+            bands: vec![None; n],
+            last: None,
+            stats: PlannerStats {
+                members: n,
+                ..PlannerStats::default()
+            },
+        })
     }
 
     /// The member profiles, fleet order.
@@ -391,8 +306,8 @@ impl FleetPlanner {
 
     /// Replaces one member's profile (admission-time validation: the
     /// profile is checked here, at the mutation edge, never on the
-    /// per-tick hot path). The member is re-classed, re-bucketed under
-    /// its cached risk, and the plan cache is invalidated.
+    /// per-tick hot path). The member's last risk is re-banded under the
+    /// new envelope, and the plan cache is dropped.
     ///
     /// # Errors
     ///
@@ -406,402 +321,68 @@ impl FleetPlanner {
             )));
         }
         member.validate()?;
-        let old_class = self.class_of[index];
-        let new_class = self.class_index(&member);
-        let new_levels = self.classes[new_class].energy.len();
+        if let Some((bits, band)) = &mut self.bands[index] {
+            *band = member.envelope.max_level(f64::from_bits(*bits));
+        }
         self.members[index] = member;
-        let slot = self.risks[index];
-        if slot.valid {
-            // Re-band the cached risk under the (possibly new) envelope
-            // and move the member's bucket slot atomically with the
-            // profile swap so planner state never skews.
-            let risk = f64::from_bits(slot.bits);
-            let allowed = self.classes[new_class].envelope.max_level(risk);
-            remove(&mut self.buckets, index, old_class, slot.allowed);
-            insert(&mut self.buckets, index, new_class, allowed, new_levels);
-            self.risks[index].allowed = allowed;
-        }
-        self.class_of[index] = new_class;
-        // Level-0 energy may have moved: recompute the exact member-order
-        // starting sum the scratch greedy uses.
-        self.full_energy = self.members.iter().map(|m| m.energy_per_level[0].0).sum();
-        self.cached = None;
-        Ok(())
-    }
-
-    /// Finds or creates the profile class of `member`.
-    fn class_index(&mut self, member: &FleetMember) -> usize {
-        match self.classes.iter().position(|c| c.matches(member)) {
-            Some(c) => c,
-            None => {
-                self.classes.push(ProfileClass::of(member));
-                self.classes.len() - 1
-            }
-        }
-    }
-
-    /// Validates every member, assigns classes, and resets all risk /
-    /// bucket / cache state (construction, or a full invalidation).
-    fn rebuild(&mut self) -> Result<()> {
-        for m in &self.members {
-            m.validate()?;
-        }
-        self.classes.clear();
-        let n = self.members.len();
-        let mut class_of = Vec::with_capacity(n);
-        for i in 0..n {
-            let member = self.members[i].clone();
-            class_of.push(self.class_index(&member));
-        }
-        self.class_of = class_of;
-        self.risks = vec![
-            RiskSlot {
-                bits: 0,
-                allowed: 0,
-                valid: false,
-            };
-            n
-        ];
-        self.buckets.clear();
-        self.full_energy = self.members.iter().map(|m| m.energy_per_level[0].0).sum();
-        self.cached = None;
-        self.stats = PlannerStats {
-            members: n,
-            ..PlannerStats::default()
-        };
+        self.last = None;
         Ok(())
     }
 
     /// Plans the fleet under `budget` at the given per-member risks —
-    /// byte-identical to [`plan_budget_prevalidated`] on the same inputs,
-    /// but incremental: only members whose risk changed are re-validated
-    /// and re-banded, and a tick that moves no bands under an unchanged
+    /// the same plan as [`plan_budget_prevalidated`] on the same inputs.
+    /// A tick that moves no member's band under a bitwise-unchanged
     /// budget returns the cached plan.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::BadConfig`] for a risk-count mismatch or
-    /// any changed risk that is non-finite or negative (same message as
-    /// the scratch planner). A failed call leaves the planner consistent;
-    /// re-planning with corrected risks recovers.
+    /// any risk that is non-finite or negative (same message as
+    /// [`plan_budget_prevalidated`]). Every risk is checked before any
+    /// state changes, so a failed call leaves the planner untouched.
     pub fn plan(&mut self, risks: &[f64], budget: Option<Joules>) -> Result<BudgetPlan> {
-        let n = self.members.len();
-        if risks.len() != n {
-            return Err(RuntimeError::bad_config(format!(
-                "{n} members but {} risks",
-                risks.len()
-            )));
-        }
-        let (dirty, moved) = match self.scan_risks(risks) {
-            Ok(counts) => counts,
-            Err(e) => {
-                // A failed scan may have re-banded some members before the
-                // rejected one. The bucket state is still consistent, but
-                // the cached plan no longer describes it — drop it so a
-                // later "quiet" tick cannot serve a stale plan.
-                self.cached = None;
-                return Err(e);
+        check_risks(&self.members, risks)?;
+        let mut dirty = 0;
+        let mut moved = 0;
+        for ((slot, m), &risk) in self.bands.iter_mut().zip(&self.members).zip(risks) {
+            let bits = risk.to_bits();
+            if slot.is_some_and(|(old, _)| old == bits) {
+                continue;
             }
-        };
+            let band = m.envelope.max_level(risk);
+            dirty += 1;
+            if slot.is_none_or(|(_, old)| old != band) {
+                moved += 1;
+            }
+            *slot = Some((bits, band));
+        }
         self.stats.dirty_members = dirty;
         self.stats.moved_members = moved;
+        self.stats.plans += 1;
         let budget_bits = budget.map(|b| b.0.to_bits());
-        if moved == 0 {
-            if let Some(c) = &self.cached {
-                if c.budget_bits == budget_bits {
-                    self.stats.cache_hit = true;
-                    self.stats.plans += 1;
-                    self.stats.cache_hits += 1;
-                    return Ok(c.plan.clone());
-                }
+        if let Some((bits, plan)) = &self.last {
+            if moved == 0 && *bits == budget_bits {
+                self.stats.cache_hit = true;
+                self.stats.cache_hits += 1;
+                return Ok(plan.clone());
             }
         }
         self.stats.cache_hit = false;
-
-        if let Some(b) = budget {
-            self.greedy(b.0);
-        } else {
-            for bucket in &mut self.buckets {
-                bucket.counts.fill(0);
-                bucket.counts[0] = bucket.ids.len();
-            }
-        }
-
-        // Materialize per-member caps from the final bucket counts
-        // (deepest levels to lowest member ids), then re-sum totals in
-        // exact member order — the scratch planner's final `total`.
-        let mut levels = vec![0usize; n];
-        for b in &self.buckets {
-            let mut pos = 0usize;
-            for l in (0..b.counts.len()).rev() {
-                for _ in 0..b.counts[l] {
-                    levels[b.ids[pos]] = l;
-                    pos += 1;
-                }
-            }
-        }
-        let mut energy = 0.0f64;
-        let mut utility = 0.0f64;
-        for (i, &l) in levels.iter().enumerate() {
-            let c = &self.classes[self.class_of[i]];
-            energy += c.energy[l];
-            utility += c.utility[l];
-        }
-        let plan = BudgetPlan {
-            levels,
-            total_energy: Joules(energy),
-            total_utility: utility,
-            feasible: budget.is_none_or(|b| energy <= b.0),
-        };
-        self.cached = Some(CachedPlan {
-            budget_bits,
-            plan: plan.clone(),
-        });
-        self.stats.plans += 1;
+        let bands = &self.bands;
+        let plan = greedy(
+            &self.members,
+            |i| bands[i].map_or(0, |(_, band)| band),
+            budget,
+        );
+        self.last = Some((budget_bits, plan.clone()));
         Ok(plan)
-    }
-
-    /// The dirty scan: re-validates and re-bands every member whose risk
-    /// changed bitwise, returning `(dirty, moved)` counts. The cached
-    /// risk, band and bucket slot move together per member, so an error
-    /// part-way through leaves every already-processed member fully
-    /// consistent.
-    fn scan_risks(&mut self, risks: &[f64]) -> Result<(usize, usize)> {
-        let mut dirty = 0;
-        let mut moved = 0;
-        for (i, (slot, &risk)) in self.risks.iter_mut().zip(risks).enumerate() {
-            let bits = risk.to_bits();
-            if slot.valid && slot.bits == bits {
-                continue;
-            }
-            // Same rejection (and message) as the scratch planner: a NaN
-            // risk would silently grant the most pruned level via
-            // `max_level`.
-            if !risk.is_finite() || risk < 0.0 {
-                return Err(RuntimeError::bad_config(format!(
-                    "{}: risk {risk} must be finite and non-negative",
-                    self.members[i].name
-                )));
-            }
-            let class = self.class_of[i];
-            let allowed = self.classes[class].envelope.max_level(risk);
-            let levels = self.classes[class].energy.len();
-            if !slot.valid {
-                insert(&mut self.buckets, i, class, allowed, levels);
-                moved += 1;
-            } else if slot.allowed != allowed {
-                remove(&mut self.buckets, i, class, slot.allowed);
-                insert(&mut self.buckets, i, class, allowed, levels);
-                moved += 1;
-            }
-            *slot = RiskSlot {
-                bits,
-                allowed,
-                valid: true,
-            };
-            dirty += 1;
-        }
-        Ok((dirty, moved))
-    }
-
-    /// The exact bucket greedy: replays the scratch planner's move order
-    /// (including index-order tie resolution and per-move sequential
-    /// energy subtraction) over bucket counts instead of individuals.
-    fn greedy(&mut self, budget: f64) {
-        for b in &mut self.buckets {
-            b.counts.fill(0);
-            b.counts[0] = b.ids.len();
-        }
-        let mut energy = self.full_energy;
-        // Candidate buckets at the current plateau score: each
-        // contributes its deepest maximizing level (whose head is the
-        // bucket's lowest-index maximizer) and that head's member id.
-        // `multi` marks buckets with more than one level at the score.
-        struct Cand {
-            b: usize,
-            level: usize,
-            head: usize,
-            multi: bool,
-        }
-        let mut cands: Vec<Cand> = Vec::new();
-        'outer: while energy > budget {
-            // One fused pass: find the max frontier score across every
-            // occupied, in-envelope bucket level, collecting the
-            // maximizing buckets along the way (the buffer resets
-            // whenever a later bucket raises the maximum).
-            let mut best: Option<f64> = None;
-            let mut s_bits = 0u64;
-            cands.clear();
-            for (bi, b) in self.buckets.iter().enumerate() {
-                let scores = &self.classes[b.class].scores;
-                let mut deepest: Option<usize> = None;
-                let mut matches = 0usize;
-                for (l, &s) in scores.iter().enumerate().take(b.allowed) {
-                    if b.counts[l] == 0 {
-                        continue;
-                    }
-                    if best.is_none_or(|bs| s > bs) {
-                        best = Some(s);
-                        s_bits = s.to_bits();
-                        cands.clear();
-                        deepest = Some(l);
-                        matches = 1;
-                    } else if s.to_bits() == s_bits {
-                        deepest = Some(l);
-                        matches += 1;
-                    }
-                }
-                if let Some(level) = deepest {
-                    cands.push(Cand {
-                        b: bi,
-                        level,
-                        head: b.ids[b.offset(level)],
-                        multi: matches > 1,
-                    });
-                }
-            }
-            let Some(s) = best else { break };
-            // Bulk fast path: when every candidate bucket has a single
-            // matching level whose runs stop after one move, and all
-            // moves free bitwise-identical energy, the sequential value
-            // replay is independent of the member interleave — so the
-            // plateau advances with one subtraction loop and per-bucket
-            // counts updates instead of per-member work. This is the
-            // overwhelmingly common shape (profile scores decreasing
-            // with depth), and what keeps 10k-member replans flat.
-            let mut bulk = true;
-            let mut delta_bits: Option<u64> = None;
-            let mut movable = 0usize;
-            for c in &cands {
-                let b = &self.buckets[c.b];
-                let class = &self.classes[b.class];
-                let nl = c.level + 1;
-                let continues = nl < b.allowed && {
-                    let sc = class.scores[nl];
-                    sc >= s || sc.to_bits() == s_bits
-                };
-                let d = (class.energy[c.level] - class.energy[nl]).to_bits();
-                if c.multi || continues || *delta_bits.get_or_insert(d) != d {
-                    bulk = false;
-                    break;
-                }
-                movable += b.counts[c.level];
-            }
-            if bulk {
-                let delta = f64::from_bits(delta_bits.expect("plateau has candidates"));
-                let mut moved = 0usize;
-                while energy > budget && moved < movable {
-                    energy -= delta;
-                    moved += 1;
-                }
-                if moved == movable {
-                    for c in &cands {
-                        let b = &mut self.buckets[c.b];
-                        b.counts[c.level + 1] += b.counts[c.level];
-                        b.counts[c.level] = 0;
-                    }
-                    continue 'outer;
-                }
-                // The budget landed mid-plateau: runs start in ascending
-                // member-id order, so the moved members are exactly the
-                // `moved` lowest ids across the candidate buckets. Walk
-                // the id ranges as a k-way merge — cheap, because this
-                // happens at most once per plan.
-                let mut heads: Vec<(usize, usize)> = cands
-                    .iter()
-                    .map(|c| {
-                        let b = &self.buckets[c.b];
-                        (b.offset(c.level), b.counts[c.level])
-                    })
-                    .collect();
-                for _ in 0..moved {
-                    let mut win = usize::MAX;
-                    let mut wi = 0usize;
-                    for (i, c) in cands.iter().enumerate() {
-                        let (pos, left) = heads[i];
-                        if left == 0 {
-                            continue;
-                        }
-                        let id = self.buckets[c.b].ids[pos];
-                        if id < win {
-                            win = id;
-                            wi = i;
-                        }
-                    }
-                    let c = &cands[wi];
-                    let b = &mut self.buckets[c.b];
-                    b.counts[c.level] -= 1;
-                    b.counts[c.level + 1] += 1;
-                    heads[wi].0 += 1;
-                    heads[wi].1 -= 1;
-                }
-                break 'outer;
-            }
-            // Plateau: repeatedly run the lowest-index head as deep as
-            // its successor scores stay ≥ s. Each run replays the
-            // scratch greedy's consecutive moves for that member — it
-            // keeps winning while its score holds: strictly above s it
-            // is the unique maximizer, and at exactly s (scores are
-            // strictly positive, so value equality is bit equality) it
-            // stays the lowest tied index, since no other bucket's head
-            // changes mid-run and moving deeper keeps it at the front of
-            // its own bucket. Per-move order — and float-exact energy —
-            // is therefore preserved even when distinct profile classes
-            // collide on the same score bits.
-            loop {
-                if energy <= budget {
-                    break 'outer;
-                }
-                let Some(ci) = cands
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, c)| c.head)
-                    .map(|(i, _)| i)
-                else {
-                    break; // plateau exhausted — rescan for the next score
-                };
-                let mut lvl = cands[ci].level;
-                let bucket = &mut self.buckets[cands[ci].b];
-                let class = &self.classes[bucket.class];
-                loop {
-                    energy -= class.energy[lvl] - class.energy[lvl + 1];
-                    bucket.counts[lvl] -= 1;
-                    bucket.counts[lvl + 1] += 1;
-                    lvl += 1;
-                    if energy <= budget {
-                        break 'outer;
-                    }
-                    if lvl >= bucket.allowed {
-                        break;
-                    }
-                    let sc = class.scores[lvl];
-                    if !(sc >= s || sc.to_bits() == s_bits) {
-                        break;
-                    }
-                }
-                // Refresh this bucket's candidacy after the run.
-                let scores = &self.classes[bucket.class].scores;
-                let deepest = (0..bucket.allowed)
-                    .rev()
-                    .find(|&l| bucket.counts[l] > 0 && scores[l].to_bits() == s_bits);
-                match deepest {
-                    Some(level) => {
-                        let head = bucket.ids[bucket.offset(level)];
-                        cands[ci].level = level;
-                        cands[ci].head = head;
-                    }
-                    None => {
-                        cands.swap_remove(ci);
-                    }
-                }
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::SafetyEnvelope;
 
     fn member(name: &str, energies: &[f64], utilities: &[f64]) -> FleetMember {
         FleetMember {
@@ -887,9 +468,9 @@ mod tests {
     #[test]
     fn zero_drop_clamp_is_oracle_equal_incrementally() {
         // Equal-utility adjacent levels (a legal, non-increasing profile)
-        // exercise the 1e-12 clamp in both the scratch greedy and the
-        // incremental planner's precomputed class scores; the plans must
-        // stay byte-identical across a budget sweep.
+        // exercise the 1e-12 clamp; the planner's cached bands and the
+        // stateless path must give byte-identical plans across a budget
+        // sweep.
         let flat = member("flat", &[9.0, 6.0, 3.0], &[0.9, 0.9, 0.9]);
         let sloped = member("sloped", &[9.0, 5.0, 1.0], &[0.95, 0.90, 0.80]);
         let members = vec![flat, sloped];
@@ -911,6 +492,9 @@ mod tests {
         // Contract violation: never preferred under strict `>`.
         assert_eq!(move_score(2.0, -0.01), f64::NEG_INFINITY);
         assert!(move_score(2.0, -0.0) > 0.0, "negative zero is a zero drop");
+        // A -0.0 quotient comes out as +0.0, so it ties with +0.0 under
+        // the heap's `total_cmp`.
+        assert_eq!(move_score(-0.0, 1.0).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
@@ -1004,8 +588,8 @@ mod tests {
         }
     }
 
-    /// A tie-heavy synthetic fleet: few profile classes, risks spread
-    /// across every band, so buckets within a class constantly tie.
+    /// A tie-heavy synthetic fleet: few distinct profiles, risks spread
+    /// across every band, so members with one profile constantly tie.
     fn synth(n: usize) -> (Vec<FleetMember>, Vec<f64>) {
         let members = (0..n)
             .map(|i| {
@@ -1083,13 +667,17 @@ mod tests {
         let budget = Some(Joules(30.0));
         planner.plan(&risks, budget).unwrap();
         let good = risks.clone();
+        let before = planner.stats();
         risks[4] = f64::NAN;
         assert!(planner.plan(&risks, budget).is_err());
         // The same bad input errs again (NaNs are never cached) and a
         // corrected input matches the scratch plan exactly.
         assert!(planner.plan(&risks, budget).is_err());
+        // A failed call changes nothing, so the corrected tick is quiet.
+        assert_eq!(planner.stats(), before);
         let scratch = plan_budget_prevalidated(&members, &good, budget).unwrap();
         assert_eq!(planner.plan(&good, budget).unwrap(), scratch);
+        assert!(planner.stats().cache_hit);
     }
 
     #[test]

@@ -126,7 +126,7 @@ fn dense_draw(f: &FleetRuntime) -> f64 {
     f.profiles().iter().map(|p| p.energy_per_level[0].0).sum()
 }
 
-/// The fleet's dirty-set planner, run live at one and four workers
+/// The fleet's stateful planner, run live at one and four workers
 /// under a shrinking budget, arbitrates every tick exactly as the
 /// from-scratch oracle does, and a tick rejected for a NaN risk leaves
 /// the next tick's plan exact too.

@@ -483,8 +483,8 @@ fn fleet_crash_roundtrip(budget_frac: Option<f64>) {
     assert!(start > 0 && start <= CRASH_AT);
 
     // The planner holds no durable state: the recovered fleet's planner
-    // starts cold and rebuilds its buckets and dirty-set purely from the
-    // recovered Knowledge-derived profiles.
+    // starts cold and rebuilds its risk bands and plan cache purely from
+    // the recovered Knowledge-derived profiles.
     let mut resumed = FleetRuntime::new(recovered).expect("recovered fleet builds");
     let tail = resumed
         .run_from(&scenario, budget, start)
@@ -518,7 +518,7 @@ fn fleet_kill_and_resume_matches_uninterrupted_fleet() {
 #[test]
 fn fleet_kill_and_resume_with_incremental_planner_is_byte_identical() {
     // A binding budget (70% of dense) keeps the arbiter cutting through
-    // the storm, so the planner's dirty-set and plan cache are live on
+    // the storm, so the planner's risk bands and plan cache are live on
     // both sides of the crash.
     fleet_crash_roundtrip(Some(0.7));
 }
