@@ -8,8 +8,12 @@
 //! * tiled vs naive matmul at square sizes up to 256³,
 //! * the int8 tiled GEMM vs the f32 tiled engine at the same sizes
 //!   (`matmul_i8_tiled_*`, ISA recorded as `isa_i8`), per-row
-//!   quantize/dequantize, and precision-residual pack/apply on an int8
-//!   rung (`residual_pack_L1` / `residual_apply_L1`),
+//!   quantize/dequantize (the weight-code cache's miss cost), and
+//!   precision-residual pack/apply on an int8 rung (`residual_pack_L1`
+//!   / `residual_apply_L1`),
+//! * int8 rungs against their f32 twins on `default_perception_cnn`
+//!   (`predict_cnn_L{2,3}_int8` vs `predict_cnn_L{2,3}_f32`, derived
+//!   `speedup_i8_over_f32_cnn_L{2,3}`),
 //! * the im2col + GEMM conv forward at the reference first-layer shape,
 //! * a restore-from-log round trip (prune to the top level and back),
 //! * the durable spill (`BENCH_restore.json`): sealed-record append,
@@ -30,8 +34,10 @@
 //! `--quick` shrinks sizes and batch counts for CI smoke and skips the
 //! *timing* assertions — quick mode fails only on a panic (a real bug),
 //! never on a noisy-runner timing regression. Full mode asserts the
-//! acceptance shape: tiled ≥ 2.5× naive at 256³, tick latency strictly
-//! decreasing as density drops, zero steady-state allocations.
+//! acceptance shape: tiled ≥ 2.5× naive at 256³, int8 levels 2 and 3
+//! predicting faster than their f32 twins on the reference CNN (unless
+//! the int8 ISA is `portable`), tick latency strictly decreasing as
+//! density drops, zero steady-state allocations.
 //!
 //! Run with:
 //! `cargo run --release -p reprune-bench --bin perf_kernels \
@@ -216,8 +222,10 @@ fn main() {
         format!("{i8_speedup:.3}"),
     ));
 
-    // --- 1c. Per-row quantize / dequantize — the per-predict cost the
-    //         executor pays to enter and leave the int8 domain. ---
+    // --- 1c. Per-row quantize / dequantize of one 4096-weight row — the
+    //         weight-cache-miss cost: the executor re-quantizes a row only
+    //         after its weights change (steady-state predicts hit the
+    //         code cache). ---
     {
         let row: Vec<f32> = (0..4096).map(|_| rng.next_uniform(-1.0, 1.0)).collect();
         let mut qrow = vec![0i8; 4096];
@@ -229,6 +237,57 @@ fn main() {
         stats.push(measure("dequantize_row_4096", cfg.batches, cfg.conv_iters, || {
             qgemm::dequantize_row_i8(&qrow, scale, &mut frow);
         }));
+    }
+
+    // --- 1d. Int8 rungs against their f32 twins on the system's own
+    //         model: the keep-or-delete gate for the precision axis. Two
+    //         copies of the reference CNN share one ChannelL2 ladder; the
+    //         twin runs levels 2-3 at int8. Interleaved batches per level,
+    //         one fixed input. ---
+    let mut cnn_i8_speedups: Vec<(usize, f64)> = Vec::new();
+    {
+        use reprune::nn::PrecisionMode::{F32, Int8};
+        let twin = |precisions: Vec<PrecisionMode>| {
+            let net = models::default_perception_cnn(11).expect("reference model builds");
+            let ladder = LadderConfig::new(vec![0.0, 0.3, 0.6, 0.9])
+                .criterion(PruneCriterion::ChannelL2)
+                .precisions(precisions)
+                .build(&net)
+                .expect("ladder builds");
+            let plans = ladder_plans(&net, &ladder).expect("plans build");
+            let pruner = ReversiblePruner::attach(&net, ladder).expect("attach");
+            (net, pruner, plans, Scratch::new())
+        };
+        let (mut net_f, mut pruner_f, plans_f, mut scratch_f) = twin(vec![F32; 4]);
+        let (mut net_q, mut pruner_q, plans_q, mut scratch_q) = twin(vec![F32, F32, Int8, Int8]);
+        let sample = render_scene(0, SceneContext::Clear, &mut Prng::new(3));
+        for level in [2usize, 3] {
+            pruner_f.set_level(&mut net_f, level).expect("set level");
+            pruner_q.set_level(&mut net_q, level).expect("set level");
+            let pair = measure_pair(
+                &format!("predict_cnn_L{level}_int8"),
+                &format!("predict_cnn_L{level}_f32"),
+                cfg.batches,
+                cfg.tick_iters,
+                || {
+                    net_q.predict_with(&sample.input, Some(&plans_q[level]), &mut scratch_q)
+                        .expect("int8 tick")
+                },
+                || {
+                    net_f.predict_with(&sample.input, Some(&plans_f[level]), &mut scratch_f)
+                        .expect("f32 tick")
+                },
+            );
+            let speedup = pair.ratio_b_over_a;
+            println!(
+                "  predict cnn L{level} ({isa_i8}): int8 {:.0} ns vs f32 {:.0} ns ({speedup:.2}x)",
+                pair.a.median_ns, pair.b.median_ns
+            );
+            derived.push((format!("speedup_i8_over_f32_cnn_L{level}"), format!("{speedup:.3}")));
+            cnn_i8_speedups.push((level, speedup));
+            stats.push(pair.a);
+            stats.push(pair.b);
+        }
     }
 
     // --- 2. Conv forward at the reference first-layer shape. ---
@@ -681,6 +740,20 @@ fn main() {
             );
         } else {
             println!("  (skipping i8-speedup assertion: isa_i8 = {isa_i8})");
+        }
+        // The precision axis earns its place only if its rungs beat their
+        // f32 twins on the model every workload runs. Portable hosts have
+        // no int8 SIMD tiles, so they report without gating.
+        if isa_i8 != "portable" {
+            for &(level, speedup) in &cnn_i8_speedups {
+                assert!(
+                    speedup > 1.0,
+                    "int8 level {level} must predict faster than its f32 twin on \
+                     default_perception_cnn on {isa_i8} (got {speedup:.2}x)"
+                );
+            }
+        } else {
+            println!("  (skipping cnn int8-over-f32 assertion: isa_i8 = {isa_i8})");
         }
         for w in tick_medians.windows(2) {
             assert!(

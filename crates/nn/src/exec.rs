@@ -272,32 +272,51 @@ pub(crate) fn quantize_live_rows(
 
 /// Reusable int8 buffers for the quantized inference path.
 ///
-/// Holds the quantized-weight code cache (see [`QWeightCache`]),
-/// quantized activations, and the i32 accumulator the int8 GEMM writes
-/// into, plus the int8 packing panels. Same growth discipline as every
-/// other arena buffer: grow to fit on first use, count the event, then
-/// reuse — a steady-state quantized loop allocates nothing and, with
-/// stable weights, re-quantizes nothing.
+/// Holds the quantized-weight code cache (see [`QWeightCache`]), the
+/// codes of a conv layer's input (quantized once per layer, then
+/// unfolded), the quantized activations the GEMM reads (a Linear
+/// layer's input codes or a conv layer's unfolded patch codes), and the
+/// i32 accumulator the int8 GEMM writes into, plus the int8 packing
+/// panels. Same growth discipline as every other arena buffer: grow to
+/// fit on first use, count the event, then reuse — a steady-state
+/// quantized loop allocates nothing and, with stable weights,
+/// re-quantizes nothing. The buffers are not re-zeroed per call: each
+/// consumer writes every element it then reads, so callers slice them
+/// to the current layer's length.
 #[derive(Debug, Default)]
 pub struct QuantScratch {
     pub(crate) cache: QWeightCache,
+    pub(crate) qin: Vec<i8>,
     pub(crate) qact: Vec<i8>,
     pub(crate) iacc: Vec<i32>,
     pub(crate) qgemm: QGemmScratch,
     pub(crate) events: usize,
 }
 
+/// Grows `buf` to at least `len` elements without re-zeroing what it
+/// holds, returning whether its capacity had to grow. The capacity grows
+/// exactly as a `clear` + `resize` to `len` would make it grow.
+fn grow_len<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> bool {
+    let grew = len > buf.capacity();
+    if buf.len() < len {
+        buf.resize(len, T::default());
+    }
+    grew
+}
+
 impl QuantScratch {
-    /// Grows the activation and accumulator buffers, counting an
-    /// allocation event when a capacity is exceeded.
+    /// Grows the activation and accumulator buffers to at least the given
+    /// lengths, counting one allocation event when a capacity is
+    /// exceeded.
     pub(crate) fn reserve_act(&mut self, act_len: usize, acc_len: usize) {
-        if act_len > self.qact.capacity() || acc_len > self.iacc.capacity() {
-            self.events += 1;
-        }
-        self.qact.clear();
-        self.qact.resize(act_len, 0);
-        self.iacc.clear();
-        self.iacc.resize(acc_len, 0);
+        let grew = grow_len(&mut self.qact, act_len) | grow_len(&mut self.iacc, acc_len);
+        self.events += grew as usize;
+    }
+
+    /// Grows the conv input-code buffer to at least `len`, counting an
+    /// allocation event when its capacity is exceeded.
+    pub(crate) fn reserve_input(&mut self, len: usize) {
+        self.events += grow_len(&mut self.qin, len) as usize;
     }
 
     /// Total buffer-growth events so far (including the int8 packing

@@ -907,6 +907,13 @@ impl Layer {
     /// GEMM fall through to [`Layer::forward_infer_into`] (plans never
     /// mark them quantized).
     ///
+    /// A Conv2d quantizes its `(C,H,W)` input once and unfolds the i8
+    /// codes into the patch matrix (`cols` is not used). The scale is the
+    /// max over the input elements some window reads
+    /// ([`conv::im2col_quant_scale`]), so the codes equal those of
+    /// quantizing the f32 patch matrix element by element — at a ninth
+    /// of the quantization work for a 3×3 kernel.
+    ///
     /// At an int8 rung the pruner has already rounded the live weights
     /// onto the int8 grid, so this re-quantization is a deterministic
     /// function of the stored weights (any corruption flows into the
@@ -952,11 +959,10 @@ impl Layer {
                 let QuantScratch {
                     cache, qact, iacc, ..
                 } = quant;
+                let (qact, iacc) = (&mut qact[..k], &mut iacc[..units]);
                 let (qweight, row_scales) = cache.codes(wt, units, k, live);
                 let act_scale = qgemm::quant_scale(x.data());
-                for (q, &v) in qact.iter_mut().zip(x.data()) {
-                    *q = qgemm::quantize_value(v, act_scale);
-                }
+                qgemm::quantize_into(x.data(), act_scale, qact);
                 qgemm::matvec_i8_into(qweight, qact, live, iacc);
                 let grew = out.reuse_as(&[units]);
                 dequantize_rows(iacc, 1, act_scale, row_scales, live, out.data_mut());
@@ -994,23 +1000,28 @@ impl Layer {
                     }));
                 }
                 let (oh, ow) = spec.output_hw(h, w)?;
-                let mut grew = conv::im2col_into(x, spec, cols)?;
-                grew |= out.reuse_as(&[oc, oh, ow]);
+                let grew = out.reuse_as(&[oc, oh, ow]);
                 let n = oh * ow;
                 let k = c * spec.kernel_h * spec.kernel_w;
+                quant.reserve_input(x.len());
                 quant.reserve_act(k * n, oc * n);
                 let QuantScratch {
                     cache,
+                    qin,
                     qact,
                     iacc,
                     qgemm: qscratch,
                     ..
                 } = quant;
+                let (qin, qact, iacc) =
+                    (&mut qin[..x.len()], &mut qact[..k * n], &mut iacc[..oc * n]);
                 let (qweight, row_scales) = cache.codes(wt, oc, k, live);
-                let act_scale = qgemm::quant_scale(cols.data());
-                for (q, &v) in qact.iter_mut().zip(cols.data()) {
-                    *q = qgemm::quantize_value(v, act_scale);
-                }
+                // Quantize the input once, then unfold the codes: with the
+                // patch matrix's scale, every patch code equals the code
+                // of the input element it copies, and padding is code 0.
+                let act_scale = conv::im2col_quant_scale(x.data(), [c, h, w], spec)?;
+                qgemm::quantize_into(x.data(), act_scale, qin);
+                conv::im2col_slice_into(qin, [c, h, w], spec, qact)?;
                 qgemm::matmul_i8_slices_into(qweight, oc, k, qact, n, live, iacc, qscratch);
                 dequantize_rows(iacc, n, act_scale, row_scales, live, out.data_mut());
                 let od = out.data_mut();
@@ -1085,7 +1096,8 @@ impl Layer {
 /// Dequantizes the i32 accumulator into f32 output rows of width `n`:
 /// `out[r, j] = acc[r, j] · act_scale · row_scale[r]` for live rows,
 /// exact `0.0` for dead ones (the bias is added afterwards, to every
-/// row, matching the f32 path).
+/// row, matching the f32 path). `out` must arrive zeroed — callers pass
+/// a buffer fresh from `reuse_as` — so dead rows are left untouched.
 fn dequantize_rows(
     acc: &[i32],
     n: usize,
@@ -1106,7 +1118,6 @@ fn dequantize_rows(
             }
         }
         Some(l) => {
-            out.fill(0.0);
             for &r in l {
                 let r = r as usize;
                 dequant_row(acc, out, n, r, act_scale * row_scales[r]);

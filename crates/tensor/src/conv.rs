@@ -4,7 +4,7 @@
 //! the classic strategy used by embedded inference engines; the reverse
 //! scatter [`col2im`] supports backpropagation in `reprune-nn`.
 
-use crate::{linalg, Result, Tensor, TensorError};
+use crate::{linalg, qgemm, Result, Tensor, TensorError};
 
 /// Geometry of a 2-D convolution or pooling window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,31 +76,8 @@ fn require_chw<'t>(t: &'t Tensor, op: &'static str) -> Result<(&'t Tensor, usize
 /// Returns [`TensorError::RankMismatch`] for non-CHW input or
 /// [`TensorError::InvalidArgument`] for degenerate window geometry.
 pub fn im2col(input: &Tensor, spec: Conv2dSpec) -> Result<Tensor> {
-    let (input, c, h, w) = require_chw(input, "im2col")?;
-    let (oh, ow) = spec.output_hw(h, w)?;
-    let rows = c * spec.kernel_h * spec.kernel_w;
-    let cols = oh * ow;
-    let mut out = Tensor::zeros(&[rows, cols]);
-    let id = input.data();
-    let od = out.data_mut();
-    for ch in 0..c {
-        for kh in 0..spec.kernel_h {
-            for kw in 0..spec.kernel_w {
-                let row = (ch * spec.kernel_h + kh) * spec.kernel_w + kw;
-                for oy in 0..oh {
-                    let iy = (oy * spec.stride + kh) as isize - spec.padding as isize;
-                    for ox in 0..ow {
-                        let ix = (ox * spec.stride + kw) as isize - spec.padding as isize;
-                        let col = oy * ow + ox;
-                        if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
-                            od[row * cols + col] =
-                                id[(ch * h + iy as usize) * w + ix as usize];
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let mut out = Tensor::default();
+    im2col_into(input, spec, &mut out)?;
     Ok(out)
 }
 
@@ -113,30 +90,113 @@ pub fn im2col(input: &Tensor, spec: Conv2dSpec) -> Result<Tensor> {
 pub fn im2col_into(input: &Tensor, spec: Conv2dSpec, out: &mut Tensor) -> Result<bool> {
     let (input, c, h, w) = require_chw(input, "im2col")?;
     let (oh, ow) = spec.output_hw(h, w)?;
-    let rows = c * spec.kernel_h * spec.kernel_w;
-    let cols = oh * ow;
-    let grew = out.reuse_as(&[rows, cols]);
-    let id = input.data();
-    let od = out.data_mut();
+    let grew = out.reuse_as(&[c * spec.kernel_h * spec.kernel_w, oh * ow]);
+    im2col_slice_into(input.data(), [c, h, w], spec, out.data_mut())?;
+    Ok(grew)
+}
+
+/// The one im2col body, generic over the element type: unfolds the
+/// `(C,H,W)` image `src` (dims `chw`) into the row-major
+/// `(C·kh·kw, oh·ow)` patch matrix `dst`. Every element of `dst` is
+/// written, padding taps included (as `T::default()`: `0.0` for f32,
+/// code 0 for i8), so `dst` needs no zeroing beforehand. [`im2col_into`]
+/// is its f32 entry point; the int8 conv path unfolds quantized codes
+/// through it.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidArgument`] for degenerate window
+/// geometry or when `src`/`dst` lengths disagree with it.
+pub fn im2col_slice_into<T: Copy + Default>(
+    src: &[T],
+    chw: [usize; 3],
+    spec: Conv2dSpec,
+    dst: &mut [T],
+) -> Result<()> {
+    let [c, h, w] = chw;
+    let (oh, ow) = spec.output_hw(h, w)?;
+    let (kh_n, kw_n, s, p) = (spec.kernel_h, spec.kernel_w, spec.stride, spec.padding);
+    if src.len() != c * h * w || dst.len() != c * kh_n * kw_n * oh * ow {
+        return Err(TensorError::invalid(format!(
+            "im2col: {} source / {} destination elements for a {c}x{h}x{w} input \
+             unfolded to {oh}x{ow}",
+            src.len(),
+            dst.len()
+        )));
+    }
+    let zero = T::default();
+    let mut rows = dst.chunks_exact_mut(oh * ow);
     for ch in 0..c {
-        for kh in 0..spec.kernel_h {
-            for kw in 0..spec.kernel_w {
-                let row = (ch * spec.kernel_h + kh) * spec.kernel_w + kw;
-                for oy in 0..oh {
-                    let iy = (oy * spec.stride + kh) as isize - spec.padding as isize;
-                    for ox in 0..ow {
-                        let ix = (ox * spec.stride + kw) as isize - spec.padding as isize;
-                        let col = oy * ow + ox;
-                        if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
-                            od[row * cols + col] =
-                                id[(ch * h + iy as usize) * w + ix as usize];
-                        }
+        let plane = &src[ch * h * w..(ch + 1) * h * w];
+        for kh in 0..kh_n {
+            for kw in 0..kw_n {
+                let row = rows.next().expect("dst length checked above");
+                // Output columns [x0, x1) read inside the image for this
+                // tap column; the rest read padding.
+                let x0 = p.saturating_sub(kw).div_ceil(s).min(ow);
+                let x1 = if w + p > kw { ((w + p - 1 - kw) / s + 1).min(ow) } else { 0 };
+                let x1 = x1.max(x0);
+                for (oy, seg) in row.chunks_exact_mut(ow).enumerate() {
+                    let iy = (oy * s + kh) as isize - p as isize;
+                    if iy < 0 || iy as usize >= h {
+                        seg.fill(zero);
+                        continue;
                     }
+                    let line = &plane[iy as usize * w..(iy as usize + 1) * w];
+                    seg[..x0].fill(zero);
+                    for (ox, d) in (x0..x1).zip(&mut seg[x0..x1]) {
+                        *d = line[ox * s + kw - p];
+                    }
+                    seg[x1..].fill(zero);
                 }
             }
         }
     }
-    Ok(grew)
+    Ok(())
+}
+
+/// The int8 activation scale of the patch matrix [`im2col_slice_into`]
+/// unfolds from `src` (dims `chw`), computed from `src` itself: the
+/// [`qgemm::quant_scale`] max runs over the elements some window reads.
+/// Padding taps are zeros, which never raise a max that starts at 0, so
+/// the result equals `quant_scale` over the patch matrix bit for bit.
+/// Where every element is read (the stride-1, padded 3×3 convs of the
+/// reference models) this is a flat `quant_scale(src)`; a per-axis
+/// coverage test handles a stride above the kernel and windows that
+/// stop short of the last rows or columns.
+///
+/// # Errors
+///
+/// Same errors as [`im2col_slice_into`].
+pub fn im2col_quant_scale(src: &[f32], chw: [usize; 3], spec: Conv2dSpec) -> Result<f32> {
+    let [c, h, w] = chw;
+    let (oh, ow) = spec.output_hw(h, w)?;
+    if src.len() != c * h * w {
+        return Err(TensorError::invalid(format!(
+            "im2col_quant_scale: {} elements for a {c}x{h}x{w} input",
+            src.len()
+        )));
+    }
+    // Whether some window along one axis (`outs` windows of `kernel`
+    // taps) reads input index `i`: the last window starting at or
+    // before `i` is the one that reaches furthest past it.
+    let read = |i: usize, outs: usize, kernel: usize| {
+        let t = i + spec.padding;
+        t - (t / spec.stride).min(outs - 1) * spec.stride < kernel
+    };
+    let rows_read = |iy: usize| read(iy, oh, spec.kernel_h);
+    let cols_read = |ix: usize| read(ix, ow, spec.kernel_w);
+    if (0..h).all(rows_read) && (0..w).all(cols_read) {
+        return Ok(qgemm::quant_scale(src));
+    }
+    // Some axis is not fully read, so h and w are both nonzero here.
+    let mut max_bits = 0;
+    for (i, &v) in src.iter().enumerate() {
+        if rows_read(i / w % h) && cols_read(i % w) {
+            max_bits = max_bits.max(qgemm::abs_bits(v));
+        }
+    }
+    Ok(qgemm::scale_from_abs_bits(max_bits))
 }
 
 /// Folds a `(C·kh·kw, oh·ow)` patch matrix back into a `(C,H,W)` image,

@@ -3,7 +3,8 @@
 //!
 //! Mirrors the f32 seam in [`crate::linalg`]: one register-tiled,
 //! cache-blocked engine ([`matmul_i8_slices_into`]) with AVX-512BW /
-//! AVX2 / portable paths selected once at runtime, a scalar oracle
+//! AVX2 / portable paths selected once at runtime (partial edge tiles
+//! run the same SIMD kernel into a zero-padded stack tile), a scalar oracle
 //! ([`matmul_i8_naive`]) for property tests, and the same optional
 //! packed live-row plan so pruned-and-quantized rungs skip rows *and*
 //! run narrow.
@@ -20,11 +21,16 @@
 //! # Quantization scheme
 //!
 //! Symmetric per-row scales: `scale = max|x| / 127`, `q = clamp(round(x
-//! / scale), −127, 127)`. The mapping is deterministic for every input
-//! bit pattern: `NaN` quantizes to 0 (`as i8` saturates NaN to 0 in
-//! Rust), an all-zero (or all-NaN) row yields `scale = 0` and all-zero
-//! codes, and a non-finite `max|x|` falls back to `scale = 0` rather
-//! than poisoning the row with `0 · ∞` NaNs. The reversible-precision
+//! / scale), −127, 127)`, where `round` is round half away from zero.
+//! Both steps are computed without libm: the scale is a `u32` max over
+//! the sign-masked bit patterns (NaN patterns count as 0; non-negative
+//! floats order like their bits), and the rounding clamps `x / scale`
+//! to ±128, truncates it toward zero and adds ±1 when the exact
+//! fraction reaches ±0.5. The mapping is
+//! deterministic for every input bit pattern: `NaN` quantizes to 0, an
+//! all-zero (or all-NaN) row yields `scale = 0` and all-zero codes, and
+//! a non-finite `max|x|` falls back to `scale = 0` rather than
+//! poisoning the row with `0 · ∞` NaNs. The reversible-precision
 //! machinery in `reprune-prune` leans on this determinism: re-running
 //! quantization over the same f32 bits always reproduces the same codes
 //! and the same dequantized values.
@@ -61,14 +67,25 @@ impl QGemmScratch {
         self.alloc_events
     }
 
+    /// Grows the packing buffers to at least the given lengths, without
+    /// re-zeroing what they already hold: the packers write every
+    /// element the kernels read.
     fn reserve(&mut self, apack_len: usize, bpack_len: usize) {
         if apack_len > self.apack.capacity() || bpack_len > self.bpack.capacity() {
             self.alloc_events += 1;
         }
-        self.apack.clear();
-        self.apack.resize(apack_len, 0);
-        self.bpack.clear();
-        self.bpack.resize(bpack_len, 0);
+        grow_len(&mut self.apack, apack_len);
+        grow_len(&mut self.bpack, bpack_len);
+    }
+}
+
+/// Grows `buf` to at least `len` elements, leaving its existing contents
+/// in place. The capacity grows exactly as a `clear` + `resize` to `len`
+/// would make it grow, so growth-event accounting is unchanged; only the
+/// per-call zero fill is gone.
+fn grow_len<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, T::default());
     }
 }
 
@@ -268,6 +285,33 @@ mod simd {
     }
 }
 
+/// Runs the SIMD micro-kernel `level` names on one MR×NR tile.
+///
+/// # Safety
+///
+/// `level` must be the level [`isa_i8`] probed (never
+/// [`IsaI8::Portable`]), `apack` must hold `k2·MR` words, `panel`
+/// `k2·NR·2` i16s, and every row pointer must be valid for `NR` i32
+/// writes.
+#[inline(always)]
+unsafe fn tile_i8_simd(
+    level: IsaI8,
+    apack: &[i32],
+    panel: &[i16],
+    k2: usize,
+    rows: [*mut i32; MR],
+) {
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        IsaI8::Avx512Vnni => simd::tile_i8_avx512_vnni(apack.as_ptr(), panel.as_ptr(), k2, rows),
+        #[cfg(target_arch = "x86_64")]
+        IsaI8::Avx512 => simd::tile_i8_avx512(apack.as_ptr(), panel.as_ptr(), k2, rows),
+        #[cfg(target_arch = "x86_64")]
+        IsaI8::Avx2 => simd::tile_i8_avx2(apack.as_ptr(), panel.as_ptr(), k2, rows),
+        IsaI8::Portable => unreachable!("portable hosts run tile_i8_portable"),
+    }
+}
+
 /// Portable tile kernel: unpacks the same pair-packed panels and
 /// accumulates in plain i32 (exact, so order is irrelevant). Handles
 /// partial tiles by computing into a stack tile and copying the live
@@ -325,6 +369,9 @@ fn pack_a_panel_i8(a: &[i8], k: usize, row_indices: &[usize], apack: &mut [i32])
     }
 }
 
+/// Packs B into NR-wide panels of interleaved depth pairs, writing every
+/// element of the first `n.div_ceil(NR)·k.div_ceil(2)·NR·2`: an odd
+/// depth's last pair and the columns past `n` are zero-padded.
 #[inline]
 fn pack_b_i8(b: &[i8], k: usize, n: usize, bpack: &mut [i16]) {
     let k2 = k.div_ceil(2);
@@ -333,22 +380,22 @@ fn pack_b_i8(b: &[i8], k: usize, n: usize, bpack: &mut [i16]) {
         let j0 = jp * NR;
         let jw = NR.min(n - j0);
         let panel = &mut bpack[jp * k2 * NR * 2..(jp + 1) * k2 * NR * 2];
-        for p in 0..k2 {
-            let row0 = &b[2 * p * n..2 * p * n + n];
-            let row1 = if 2 * p + 1 < k {
-                Some(&b[(2 * p + 1) * n..(2 * p + 1) * n + n])
+        for (p, dst) in panel.chunks_exact_mut(NR * 2).enumerate() {
+            let row0 = &b[2 * p * n + j0..][..jw];
+            let (live, pad) = dst.split_at_mut(jw * 2);
+            if 2 * p + 1 < k {
+                let row1 = &b[(2 * p + 1) * n + j0..][..jw];
+                for ((pair, &lo), &hi) in live.chunks_exact_mut(2).zip(row0).zip(row1) {
+                    pair[0] = lo as i16;
+                    pair[1] = hi as i16;
+                }
             } else {
-                None
-            };
-            let dst = &mut panel[p * NR * 2..(p + 1) * NR * 2];
-            for j in 0..jw {
-                dst[j * 2] = row0[j0 + j] as i16;
-                dst[j * 2 + 1] = row1.map_or(0, |r| r[j0 + j] as i16);
+                for (pair, &lo) in live.chunks_exact_mut(2).zip(row0) {
+                    pair[0] = lo as i16;
+                    pair[1] = 0;
+                }
             }
-            for j in jw..NR {
-                dst[j * 2] = 0;
-                dst[j * 2 + 1] = 0;
-            }
+            pad.fill(0);
         }
     }
 }
@@ -431,84 +478,48 @@ pub fn matmul_i8_slices_into(
             let j0 = jp * NR;
             let jw = NR.min(n - j0);
             let panel = &bpack[jp * k2 * NR * 2..(jp + 1) * k2 * NR * 2];
-            if iw == MR && jw == NR {
-                match level {
-                    #[cfg(target_arch = "x86_64")]
-                    IsaI8::Avx512Vnni => {
-                        let base = out.as_mut_ptr();
-                        // SAFETY: each row index < m and j0 + NR ≤ n, so
-                        // every pointer is valid for NR i32 writes;
-                        // panel/apack were sized above; the probe
-                        // guarantees AVX-512BW + VNNI.
-                        unsafe {
-                            simd::tile_i8_avx512_vnni(
-                                apack.as_ptr(),
-                                panel.as_ptr(),
-                                k2,
-                                [
-                                    base.add(rows_buf[0] * n + j0),
-                                    base.add(rows_buf[1] * n + j0),
-                                    base.add(rows_buf[2] * n + j0),
-                                    base.add(rows_buf[3] * n + j0),
-                                ],
-                            );
-                        }
-                    }
-                    #[cfg(target_arch = "x86_64")]
-                    IsaI8::Avx512 => {
-                        let base = out.as_mut_ptr();
-                        // SAFETY: each row index < m and j0 + NR ≤ n, so
-                        // every pointer is valid for NR i32 writes;
-                        // panel/apack were sized above; the probe
-                        // guarantees AVX-512BW.
-                        unsafe {
-                            simd::tile_i8_avx512(
-                                apack.as_ptr(),
-                                panel.as_ptr(),
-                                k2,
-                                [
-                                    base.add(rows_buf[0] * n + j0),
-                                    base.add(rows_buf[1] * n + j0),
-                                    base.add(rows_buf[2] * n + j0),
-                                    base.add(rows_buf[3] * n + j0),
-                                ],
-                            );
-                        }
-                    }
-                    #[cfg(target_arch = "x86_64")]
-                    IsaI8::Avx2 => {
-                        let base = out.as_mut_ptr();
-                        // SAFETY: as above; the probe guarantees AVX2.
-                        unsafe {
-                            simd::tile_i8_avx2(
-                                apack.as_ptr(),
-                                panel.as_ptr(),
-                                k2,
-                                [
-                                    base.add(rows_buf[0] * n + j0),
-                                    base.add(rows_buf[1] * n + j0),
-                                    base.add(rows_buf[2] * n + j0),
-                                    base.add(rows_buf[3] * n + j0),
-                                ],
-                            );
-                        }
-                    }
-                    IsaI8::Portable => {
-                        let offs = [
-                            rows_buf[0] * n + j0,
-                            rows_buf[1] * n + j0,
-                            rows_buf[2] * n + j0,
-                            rows_buf[3] * n + j0,
-                        ];
-                        tile_i8_portable(&apack, panel, k2, MR, NR, out, &offs);
-                    }
+            let mut offs = [0usize; MR];
+            for (o, &r) in offs.iter_mut().zip(&rows_buf[..iw]) {
+                *o = r * n + j0;
+            }
+            if level == IsaI8::Portable {
+                tile_i8_portable(&apack, panel, k2, iw, jw, out, &offs[..iw]);
+            } else if iw == MR && jw == NR {
+                let base = out.as_mut_ptr();
+                // SAFETY: each row index < m and j0 + NR ≤ n, so every
+                // pointer is valid for NR i32 writes; apack and the panel
+                // were sized above; `level` came from the probe.
+                unsafe {
+                    tile_i8_simd(
+                        level,
+                        &apack,
+                        panel,
+                        k2,
+                        [
+                            base.add(offs[0]),
+                            base.add(offs[1]),
+                            base.add(offs[2]),
+                            base.add(offs[3]),
+                        ],
+                    );
                 }
             } else {
-                let mut offs = [0usize; MR];
-                for (o, &r) in offs.iter_mut().zip(&rows_buf[..iw]) {
-                    *o = r * n + j0;
+                // A partial tile runs the same kernel into a stack tile:
+                // the packers zero-pad A past iw rows and B past jw
+                // columns, and integer accumulation is exact, so the live
+                // region equals the portable kernel's bit for bit.
+                let mut tile = [0i32; MR * NR];
+                let t = tile.as_mut_ptr();
+                // SAFETY: `tile` holds MR·NR i32s, so row pointer ir·NR is
+                // valid for NR writes; apack and the panel were sized
+                // above; `level` came from the probe.
+                unsafe {
+                    let rows = [t, t.add(NR), t.add(2 * NR), t.add(3 * NR)];
+                    tile_i8_simd(level, &apack, panel, k2, rows);
                 }
-                tile_i8_portable(&apack, panel, k2, iw, jw, out, &offs[..iw]);
+                for (src, &o) in tile.chunks_exact(NR).zip(&offs[..iw]) {
+                    out[o..o + jw].copy_from_slice(&src[..jw]);
+                }
             }
         }
     }
@@ -581,13 +592,26 @@ pub fn matvec_i8_into(a: &[i8], x: &[i8], live_rows: Option<&[u32]>, out: &mut [
 /// a zero fallback when the maximum is zero or non-finite (all-zero
 /// codes — see the module-level scheme).
 pub fn quant_scale(src: &[f32]) -> f32 {
-    let mut max_abs = 0.0f32;
-    for &v in src {
-        // f32::max drops the NaN operand, so NaN weights never poison
-        // the scale.
-        max_abs = max_abs.max(v.abs());
+    scale_from_abs_bits(src.iter().fold(0, |max, &v| max.max(abs_bits(v))))
+}
+
+/// The bit pattern of `|v|`, or 0 for a NaN. Non-negative floats order
+/// like their bit patterns, so a `u32` max over these equals an
+/// `f32::max` fold of `|v|` from `0.0` (which drops NaN operands).
+#[inline]
+pub(crate) fn abs_bits(v: f32) -> u32 {
+    let bits = v.to_bits() & 0x7fff_ffff;
+    if bits > 0x7f80_0000 {
+        0
+    } else {
+        bits
     }
-    let scale = max_abs / 127.0;
+}
+
+/// [`quant_scale`] from the largest [`abs_bits`] of a set of values.
+#[inline]
+pub(crate) fn scale_from_abs_bits(max_bits: u32) -> f32 {
+    let scale = f32::from_bits(max_bits) / 127.0;
     if scale.is_finite() && scale > 0.0 {
         scale
     } else {
@@ -595,17 +619,45 @@ pub fn quant_scale(src: &[f32]) -> f32 {
     }
 }
 
-/// Quantizes one value against a precomputed scale. `scale == 0.0`
-/// yields 0; NaN yields 0 (the `as i8` saturating cast).
+/// Quantizes one value against a precomputed scale: `v / scale` rounded
+/// half away from zero and clamped to ±127. `scale == 0.0` yields 0;
+/// NaN yields 0.
 #[inline]
 pub fn quantize_value(v: f32, scale: f32) -> i8 {
     if scale == 0.0 {
         return 0;
     }
-    let q = (v / scale).round();
-    // `as` saturates to the i8 range and maps NaN to 0 — both exactly
-    // the deterministic behavior the reversible machinery requires.
-    q.clamp(-127.0, 127.0) as i8
+    // `clamp` lets NaN through, and NaN truncates to 0 as `as i32` would
+    // map it. Below 128 in magnitude `q - t` is exact, so the fraction
+    // test is exact too.
+    let q = (v / scale).clamp(-128.0, 128.0);
+    let t = if q.is_nan() {
+        0
+    } else {
+        // SAFETY: a non-NaN `q` lies in [-128, 128] after the clamp, so
+        // its truncation fits an i32. This is `q as i32` without the
+        // saturation checks that keep LLVM from vectorizing the loops.
+        unsafe { q.to_int_unchecked::<i32>() }
+    };
+    let frac = q - t as f32;
+    (t + (frac >= 0.5) as i32 - (frac <= -0.5) as i32).clamp(-127, 127) as i8
+}
+
+/// Quantizes every value of `src` against one precomputed scale into
+/// `dst`.
+///
+/// # Panics
+///
+/// Panics on length mismatch.
+pub fn quantize_into(src: &[f32], scale: f32, dst: &mut [i8]) {
+    assert_eq!(src.len(), dst.len(), "quantize_into: length mismatch");
+    if scale == 0.0 {
+        dst.fill(0);
+        return;
+    }
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = quantize_value(v, scale);
+    }
 }
 
 /// Dequantizes one code. `0 · 0.0 = 0.0` keeps all-zero rows exact.
@@ -623,13 +675,7 @@ pub fn dequantize_value(q: i8, scale: f32) -> f32 {
 pub fn quantize_row_i8(src: &[f32], dst: &mut [i8]) -> f32 {
     assert_eq!(src.len(), dst.len(), "quantize_row_i8: length mismatch");
     let scale = quant_scale(src);
-    if scale == 0.0 {
-        dst.fill(0);
-        return 0.0;
-    }
-    for (d, &v) in dst.iter_mut().zip(src) {
-        *d = quantize_value(v, scale);
-    }
+    quantize_into(src, scale, dst);
     scale
 }
 

@@ -1,13 +1,15 @@
 //! Density × precision sweep: what the int8 execution rungs actually buy.
 //!
 //! Two ladders share the same structured masks (densities 1.00 → 0.10)
-//! over a wide GEMM-bound control MLP — the workload class the int8
-//! kernels target, where the matvec is weight-bandwidth-bound and int8
-//! codes move a quarter of the bytes f32 does. One ladder executes
-//! every level at f32, the twin runs its two deepest rungs at int8
-//! through the quantized tiled kernels (weight codes cached across
-//! ticks, keyed on the weight tensor's mutation stamp). For every
-//! (density, precision) cell the sweep reports
+//! over a wide GEMM-bound control MLP, where the matvec is
+//! weight-bandwidth-bound and int8 codes move a quarter of the bytes f32
+//! does. The int8 rungs also beat their f32 twins on the perception CNN,
+//! whose convs quantize each input once; `perf_kernels` gates that with
+//! its `predict_cnn_L{2,3}` pairs, and this sweep covers the MLP. One
+//! ladder executes every level at f32, the twin runs its two deepest
+//! rungs at int8 through the quantized tiled kernels (weight codes
+//! cached across ticks, keyed on the weight tensor's mutation stamp).
+//! For every (density, precision) cell the sweep reports
 //!
 //! * measured inference-tick latency (p50 / p95 over wall-clock samples),
 //! * modeled per-tick energy on the jetson-class platform at deployment
