@@ -13,7 +13,9 @@
 //!   / `residual_apply_L1`),
 //! * int8 rungs against their f32 twins on `default_perception_cnn`
 //!   (`predict_cnn_L{2,3}_int8` vs `predict_cnn_L{2,3}_f32`, derived
-//!   `speedup_i8_over_f32_cnn_L{2,3}`),
+//!   `speedup_i8_over_f32_cnn_L{2,3}`), and its first Linear layer in
+//!   both precisions (`linear_i8_96x512` vs `linear_f32_96x512`, derived
+//!   `speedup_i8_over_f32_linear_96x512`, not asserted),
 //! * the im2col + GEMM conv forward at the reference first-layer shape,
 //! * a restore-from-log round trip (prune to the top level and back),
 //! * the durable spill (`BENCH_restore.json`): sealed-record append,
@@ -44,7 +46,8 @@
 //!   [-- --quick] [-- --out path] [-- --out-restore path] [-- --out-fleet path]`
 
 use reprune::nn::dataset::{render_scene, SceneContext};
-use reprune::nn::{models, PrecisionMode, Scratch};
+use reprune::nn::layer::Layer;
+use reprune::nn::{models, PrecisionMode, QuantScratch, Scratch};
 use reprune::prune::{ladder_plans, LadderConfig, PruneCriterion, ReversiblePruner};
 use reprune::tensor::conv::{self, Conv2dSpec};
 use reprune::tensor::linalg::{self, GemmScratch};
@@ -288,6 +291,57 @@ fn main() {
             stats.push(pair.a);
             stats.push(pair.b);
         }
+    }
+
+    // --- 1e. The reference CNN's first Linear (512 -> 96), dense, in both
+    //         precisions: the per-layer cost behind the int8 rungs' lead.
+    //         One fixed input from its own stream; reported, not asserted.
+    {
+        let net = models::default_perception_cnn(11).expect("reference model builds");
+        let layer = net
+            .layers()
+            .find(|l| matches!(l, Layer::Linear(_)))
+            .expect("the reference CNN has a Linear layer");
+        let x = random_tensor(&[512], &mut Prng::new(0x11EA));
+        let (mut cols_f, mut gemm_f, mut out_f) =
+            (Tensor::default(), GemmScratch::new(), Tensor::default());
+        let (mut cols_q, mut gemm_q, mut out_q) =
+            (Tensor::default(), GemmScratch::new(), Tensor::default());
+        let mut quant = QuantScratch::default();
+        let pair = measure_pair(
+            "linear_i8_96x512",
+            "linear_f32_96x512",
+            cfg.batches,
+            cfg.conv_iters,
+            || {
+                layer
+                    .forward_infer_into_q(
+                        &x,
+                        None,
+                        &mut cols_q,
+                        &mut gemm_q,
+                        &mut quant,
+                        &mut out_q,
+                    )
+                    .expect("int8 linear")
+            },
+            || {
+                layer
+                    .forward_infer_into(&x, None, &mut cols_f, &mut gemm_f, &mut out_f)
+                    .expect("f32 linear")
+            },
+        );
+        let speedup = pair.ratio_b_over_a;
+        println!(
+            "  linear 96x512 ({isa}/{isa_i8}): int8 {:.0} ns vs f32 {:.0} ns ({speedup:.2}x)",
+            pair.a.median_ns, pair.b.median_ns
+        );
+        derived.push((
+            "speedup_i8_over_f32_linear_96x512".to_string(),
+            format!("{speedup:.3}"),
+        ));
+        stats.push(pair.a);
+        stats.push(pair.b);
     }
 
     // --- 2. Conv forward at the reference first-layer shape. ---

@@ -357,7 +357,6 @@ impl RuntimeManager {
         let plant = Plant {
             frame_rng: Prng::new(config.frame_seed),
             corruption_rng: Prng::new(config.frame_seed ^ 0xc0_44u64),
-            mirror_checksum: sealed_checksum,
             net,
             pruner,
             plans,
@@ -443,7 +442,8 @@ impl RuntimeManager {
     /// # Errors
     ///
     /// Returns [`RuntimeError::BadConfig`] when the device cannot be
-    /// read, or propagates attach/replay errors.
+    /// read or the chosen mark names a segment it lacks, or propagates
+    /// attach/replay errors.
     pub fn recover(
         mut net: Network,
         ladder: SparsityLadder,
@@ -488,7 +488,13 @@ impl RuntimeManager {
         if let Some(m) = &mark {
             let mut segments = Vec::with_capacity(m.manifest.len());
             for h in &m.manifest {
-                let payload = res.segments_by_hash.get(h).expect("manifest satisfied");
+                // `best_mark` picks only marks whose manifest the device
+                // satisfies, so this error marks a scan bookkeeping bug.
+                let payload = res.segments_by_hash.get(h).ok_or_else(|| {
+                    RuntimeError::bad_config(format!(
+                        "spill mark names segment {h:#018x}, which the device lacks"
+                    ))
+                })?;
                 segments.push(reprune_prune::pruner::LevelDelta::from_spill_payload(payload)?);
             }
             mgr.plant.pruner.install_log(&mut mgr.plant.net, segments)?;

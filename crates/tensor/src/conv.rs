@@ -144,8 +144,13 @@ pub fn im2col_slice_into<T: Copy + Default>(
                     }
                     let line = &plane[iy as usize * w..(iy as usize + 1) * w];
                     seg[..x0].fill(zero);
-                    for (ox, d) in (x0..x1).zip(&mut seg[x0..x1]) {
-                        *d = line[ox * s + kw - p];
+                    if s == 1 && x0 < x1 {
+                        // The in-image run is contiguous in the source row.
+                        seg[x0..x1].copy_from_slice(&line[x0 + kw - p..x1 + kw - p]);
+                    } else {
+                        for (ox, d) in (x0..x1).zip(&mut seg[x0..x1]) {
+                            *d = line[ox * s + kw - p];
+                        }
                     }
                     seg[x1..].fill(zero);
                 }

@@ -1,8 +1,10 @@
 //! Dense and sparsity-aware linear algebra primitives.
 //!
-//! Matrix multiplication here backs both the fully connected layers and the
-//! im2col-lowered convolutions in `reprune-nn`. Three kernels coexist, each
-//! modeling a different hardware behavior — pick deliberately:
+//! Matrix multiplication here backs the im2col-lowered convolutions in
+//! `reprune-nn`, and the matrix–vector product ([`matvec`] /
+//! [`matvec_into`]) its fully connected layers. Three GEMM kernels
+//! coexist, each modeling a different hardware behavior — pick
+//! deliberately:
 //!
 //! * [`matmul`] / [`matmul_into`] — the production **dense** kernel: a
 //!   register-tiled 4×32 micro-kernel over packed panels (AVX-512 and AVX2
@@ -33,6 +35,13 @@
 //! always (`-0.0` vs `+0.0` can differ where the naive kernel's zero-skip
 //! refuses to add a `0.0·b` term). Property tests in `tests/properties.rs`
 //! pin this contract.
+//!
+//! The matvec puts rows in vector lanes (eight, on AVX2 and AVX-512
+//! hosts alike): each lane adds its row's `w * v` products from `-0.0`
+//! in column order, the sequential `.sum()`'s exact rounding sequence.
+//! Every output that is not NaN is bit-identical to that scalar sum, and
+//! NaN appears exactly where it does (NaN sign and payload are not
+//! promised).
 //!
 //! # Inline audit
 //!
@@ -101,7 +110,8 @@ fn isa() -> Isa {
         use std::sync::OnceLock;
         static ISA: OnceLock<Isa> = OnceLock::new();
         *ISA.get_or_init(|| {
-            if is_x86_feature_detected!("avx512f") {
+            // The matvec runs its AVX2 kernel on the AVX-512 level too.
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx2") {
                 Isa::Avx512
             } else if is_x86_feature_detected!("avx2") {
                 Isa::Avx2
@@ -131,8 +141,9 @@ pub fn active_isa() -> &'static str {
 
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    //! SIMD micro-kernels. Both use separate multiply + add (never FMA) so
-    //! the accumulation rounds exactly like the scalar reference.
+    //! SIMD kernels: the GEMM tiles and the rows-in-lanes matvec. All use
+    //! separate multiply + add (never FMA) so the accumulation rounds
+    //! exactly like the scalar reference.
     use std::arch::x86_64::*;
 
     use super::{MR, NR};
@@ -218,6 +229,98 @@ mod simd {
                 _mm256_storeu_ps(rows[ir].add(jv * 8), *v);
             }
         }
+    }
+
+    /// Row pointers of one matvec lane group. The slice indexing checks
+    /// that each pointer starts `k` readable floats of `a`.
+    #[inline(always)]
+    fn row_ptrs(a: &[f32], k: usize, rows: &[usize; 8]) -> [*const f32; 8] {
+        let mut ptrs = [a.as_ptr(); 8];
+        for (p, &r) in ptrs.iter_mut().zip(rows) {
+            *p = a[r * k..][..k].as_ptr();
+        }
+        ptrs
+    }
+
+    /// Transposes an 8×8 block: lane `i` of output `j` is lane `j` of
+    /// input `i`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+        let mut s = [_mm256_setzero_ps(); 8];
+        for g in 0..2 {
+            let lo01 = _mm256_unpacklo_ps(r[4 * g], r[4 * g + 1]);
+            let hi01 = _mm256_unpackhi_ps(r[4 * g], r[4 * g + 1]);
+            let lo23 = _mm256_unpacklo_ps(r[4 * g + 2], r[4 * g + 3]);
+            let hi23 = _mm256_unpackhi_ps(r[4 * g + 2], r[4 * g + 3]);
+            s[4 * g] = _mm256_shuffle_ps::<0x44>(lo01, lo23);
+            s[4 * g + 1] = _mm256_shuffle_ps::<0xEE>(lo01, lo23);
+            s[4 * g + 2] = _mm256_shuffle_ps::<0x44>(hi01, hi23);
+            s[4 * g + 3] = _mm256_shuffle_ps::<0xEE>(hi01, hi23);
+        }
+        let mut out = [_mm256_setzero_ps(); 8];
+        for c in 0..4 {
+            out[c] = _mm256_permute2f128_ps::<0x20>(s[c], s[4 + c]);
+            out[4 + c] = _mm256_permute2f128_ps::<0x31>(s[c], s[4 + c]);
+        }
+        out
+    }
+
+    /// Eight rows of the row-major `a` (`x.len()` columns) dotted with
+    /// `x`, row `rows[i]` in lane `i`. Each lane sums its row's `w * v`
+    /// products from `-0.0` in column order, with separate multiply and
+    /// add, so its result has the bits of the sequential scalar sum (NaN
+    /// payloads aside).
+    ///
+    /// AVX-512 hosts run it too: a 16-lane AVX-512 variant was at most
+    /// ~10% faster on the perception CNN's dense 96×512 Linear, left the
+    /// end-to-end tick unchanged, and was slower on partly live and
+    /// short layers, whose last group wastes more lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row lies outside `a`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn matvec_rows_avx2(a: &[f32], x: &[f32], rows: &[usize; 8]) -> [f32; 8] {
+        let k = x.len();
+        let ptrs = row_ptrs(a, k, rows);
+        let mut acc = _mm256_set1_ps(-0.0);
+        let full = k - k % 8;
+        let mut prod = [_mm256_setzero_ps(); 8];
+        for p0 in (0..full).step_by(8) {
+            // SAFETY (loads): p0 + 8 ≤ k, and every row pointer and `x`
+            // hold k floats from their start.
+            let xv = _mm256_loadu_ps(x.as_ptr().add(p0));
+            for (v, &row) in prod.iter_mut().zip(&ptrs) {
+                *v = _mm256_mul_ps(_mm256_loadu_ps(row.add(p0)), xv);
+            }
+            for col in transpose8(prod) {
+                acc = _mm256_add_ps(acc, col);
+            }
+        }
+        let tail = k - full;
+        if tail > 0 {
+            // Masked-off lanes are never read, so the rows' ends bound
+            // these loads just as they bound the full blocks.
+            let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(tail as i32), lanes);
+            let xv = _mm256_maskload_ps(x.as_ptr().add(full), mask);
+            for (v, &row) in prod.iter_mut().zip(&ptrs) {
+                *v = _mm256_mul_ps(_mm256_maskload_ps(row.add(full), mask), xv);
+            }
+            // Only live columns are added: a padding +0.0 would turn a
+            // -0.0 sum positive.
+            for &col in &transpose8(prod)[..tail] {
+                acc = _mm256_add_ps(acc, col);
+            }
+        }
+        let mut y = [0.0f32; 8];
+        _mm256_storeu_ps(y.as_mut_ptr(), acc);
+        y
     }
 }
 
@@ -590,9 +693,11 @@ fn check_matvec_shapes(a: &Tensor, x: &Tensor) -> Result<(usize, usize)> {
 
 /// Multiplies a matrix by a vector: `(m×k) · (k) → (m)`.
 ///
-/// Kept scalar (sequential per-row dot products): the dense layers this
-/// backs are tiny, and the sequential reduction keeps the arena and
-/// allocating forward paths bit-identical.
+/// Each output is its row's dot product summed sequentially from `-0.0`
+/// in column order, computed 8 rows at a time on AVX2 and AVX-512 hosts
+/// (one row per vector lane) and one at a time on portable hosts. Every
+/// path gives the same bits except in NaN payloads, so the arena and
+/// allocating forward paths agree.
 ///
 /// # Errors
 ///
@@ -629,26 +734,76 @@ pub fn matvec_into(
 
 #[inline]
 fn matvec_slices(a: &[f32], x: &[f32], live_rows: Option<&[u32]>, out: &mut [f32]) {
+    // SAFETY: `isa()` names a level this host supports.
+    unsafe { matvec_slices_at(isa(), a, x, live_rows, out) }
+}
+
+/// [`matvec_slices`] on the kernel `level` names.
+///
+/// # Safety
+///
+/// The host must support `level`'s instruction set.
+unsafe fn matvec_slices_at(
+    level: Isa,
+    a: &[f32],
+    x: &[f32],
+    live_rows: Option<&[u32]>,
+    out: &mut [f32],
+) {
     let k = x.len();
-    let dot = |row: usize| -> f32 {
-        a[row * k..(row + 1) * k]
-            .iter()
-            .zip(x)
-            .map(|(&w, &v)| w * v)
-            .sum()
-    };
+    assert_eq!(a.len(), out.len() * k, "matvec: lhs length");
+    match level {
+        // SAFETY: the caller vouches for the level, and `isa` picks
+        // `Avx512` only on hosts that also have AVX2.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 | Isa::Avx2 => lane_groups(live_rows, out, |rows: &[usize; 8]| unsafe {
+            simd::matvec_rows_avx2(a, x, rows)
+        }),
+        Isa::Portable => {
+            let dot = |row: usize| -> f32 {
+                a[row * k..(row + 1) * k]
+                    .iter()
+                    .zip(x)
+                    .map(|(&w, &v)| w * v)
+                    .sum()
+            };
+            lane_groups(live_rows, out, |&[row]: &[usize; 1]| [dot(row)]);
+        }
+    }
+}
+
+/// Fills `out` from `kernel`, which computes `R` rows at once: the live
+/// rows in groups of `R` when given (the other rows become `0.0`), else
+/// every row. A short last group repeats its first row in the unused
+/// lanes, whose results are dropped.
+///
+/// # Panics
+///
+/// Panics if a live row index is out of range.
+#[inline(always)]
+fn lane_groups<const R: usize>(
+    live_rows: Option<&[u32]>,
+    out: &mut [f32],
+    mut kernel: impl FnMut(&[usize; R]) -> [f32; R],
+) {
+    let m = out.len();
     match live_rows {
         None => {
-            for (i, o) in out.iter_mut().enumerate() {
-                *o = dot(i);
+            for (g, dst) in out.chunks_mut(R).enumerate() {
+                let rows = std::array::from_fn(|i| g * R + if i < dst.len() { i } else { 0 });
+                dst.copy_from_slice(&kernel(&rows)[..dst.len()]);
             }
         }
         Some(live) => {
             out.fill(0.0);
-            for &r in live {
-                let r = r as usize;
-                assert!(r < out.len(), "live row {r} out of range for {} rows", out.len());
-                out[r] = dot(r);
+            for group in live.chunks(R) {
+                let rows = std::array::from_fn(|i| *group.get(i).unwrap_or(&group[0]) as usize);
+                for &r in &rows {
+                    assert!(r < m, "live row {r} out of range for {m} rows");
+                }
+                for (&r, y) in rows.iter().zip(kernel(&rows)).take(group.len()) {
+                    out[r] = y;
+                }
             }
         }
     }
@@ -905,6 +1060,127 @@ mod tests {
                     "lane 1 ({r},{j})"
                 );
             }
+        }
+    }
+
+    /// Every f32 matvec kernel this host can run: the scalar sum, and
+    /// the eight-lane kernel (which the AVX-512 level runs too).
+    fn host_levels() -> Vec<Isa> {
+        #[allow(unused_mut)]
+        let mut levels = vec![Isa::Portable];
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            levels.push(Isa::Avx2);
+        }
+        levels
+    }
+
+    #[test]
+    fn every_host_matvec_kernel_matches_the_scalar_dot() {
+        let specials = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            1e30,
+            -1e30,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0003),
+        ];
+        // Row counts around the lane width and its multiples; k across
+        // full blocks and every tail length class.
+        let shapes = [
+            (0, 5),
+            (1, 0),
+            (3, 1),
+            (7, 7),
+            (8, 8),
+            (9, 15),
+            (16, 16),
+            (17, 17),
+            (33, 47),
+            (40, 70),
+        ];
+        for &(m, k) in &shapes {
+            for special_every in [0usize, 3, 13] {
+                let val = |i: usize, salt: f32| {
+                    if special_every > 0 && i.is_multiple_of(special_every) {
+                        specials[(i / special_every) % specials.len()]
+                    } else {
+                        (i as f32 * salt).sin()
+                    }
+                };
+                let a: Vec<f32> = (0..m * k).map(|i| val(i, 0.37)).collect();
+                let x: Vec<f32> = (0..k).map(|i| val(i + 1, 1.3)).collect();
+                let live: Vec<u32> = (0..m as u32).filter(|r| r % 3 != 1).collect();
+                for plan in [None, Some(&live[..]), Some(&[][..])] {
+                    let mut want = vec![0.0f32; m];
+                    // SAFETY: every host runs the portable kernel.
+                    unsafe { matvec_slices_at(Isa::Portable, &a, &x, plan, &mut want) };
+                    for level in host_levels() {
+                        let mut got = vec![f32::NAN; m];
+                        // SAFETY: `host_levels` lists only supported levels.
+                        unsafe { matvec_slices_at(level, &a, &x, plan, &mut got) };
+                        for (r, (g, w)) in got.iter().zip(&want).enumerate() {
+                            if w.is_nan() {
+                                assert!(g.is_nan(), "{level:?} {m}x{k} row {r}: {g} for NaN");
+                            } else {
+                                assert_eq!(g.to_bits(), w.to_bits(), "{level:?} {m}x{k} row {r}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn negative_zero_sums_keep_their_sign_on_every_kernel() {
+        // `-0.0 * 1.0` products sum to -0.0 from the -0.0 start, at every
+        // k including the empty sum.
+        for k in [0usize, 1, 5, 8, 16, 23] {
+            let a = vec![-0.0f32; 17 * k];
+            let x = vec![1.0f32; k];
+            for level in host_levels() {
+                let mut out = vec![1.0f32; 17];
+                // SAFETY: `host_levels` lists only supported levels.
+                unsafe { matvec_slices_at(level, &a, &x, None, &mut out) };
+                assert!(out.iter().all(|v| v.to_bits() == 0x8000_0000), "{level:?} k={k}");
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn simd_tiles_match_the_portable_tile() {
+        let k = 19;
+        let apack: Vec<f32> = (0..k * MR).map(|i| (i as f32 * 0.7).sin()).collect();
+        let bpack: Vec<f32> = (0..k * NR).map(|i| (i as f32 * 0.3).cos()).collect();
+        let mut want = vec![0.0f32; MR * NR];
+        tile_portable(&apack, &bpack, k, MR, NR, &mut want, &[0, NR, 2 * NR, 3 * NR]);
+        let run = |tile: unsafe fn(*const f32, *const f32, usize, [*mut f32; MR])| {
+            let mut got = vec![f32::NAN; MR * NR];
+            let p = got.as_mut_ptr();
+            // SAFETY: the panels hold k·MR and k·NR floats, each row
+            // pointer starts NR floats of `got`, and the caller probed
+            // the tile's ISA.
+            unsafe {
+                tile(
+                    apack.as_ptr(),
+                    bpack.as_ptr(),
+                    k,
+                    [p, p.add(NR), p.add(2 * NR), p.add(3 * NR)],
+                )
+            };
+            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+        if is_x86_feature_detected!("avx512f") {
+            assert_eq!(run(simd::tile_avx512), want, "tile_avx512");
+        }
+        if is_x86_feature_detected!("avx2") {
+            assert_eq!(run(simd::tile_avx2), want, "tile_avx2");
         }
     }
 
