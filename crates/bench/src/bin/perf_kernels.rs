@@ -22,7 +22,8 @@
 //!   crash replay (`log_replay` = full scan + base restore + mark
 //!   replay; `log_replay_fine_tuned` = the same on a per-level
 //!   fine-tuned ladder), and the steady-state tick overhead of spilling
-//!   (`tick_spill_on` / `tick_spill_off`, floor 0.95 off/on),
+//!   (`tick_spill_on` / `tick_spill_off`, floor 0.95 off/on on the
+//!   median of three in-process repeats),
 //! * the end-to-end inference tick (`predict_with`) at every ladder
 //!   density from 1.00 down to 0.25,
 //! * steady-state arena allocation events (must be zero),
@@ -67,6 +68,27 @@ fn random_tensor(dims: &[usize], rng: &mut Prng) -> Tensor {
 /// reference configuration. The `restore_l3_speedup` derived entry and
 /// the full-mode ≥4x assertion are relative to this number.
 const RESTORE_L3_BASELINE_NS: f64 = 1_344_830.2;
+
+/// In-process repeats of the timed section behind each single-ratio
+/// full-mode floor (`restore_l3_speedup`, the spill tick ratio). The
+/// floor reads the median repeat, so one noisy section on a shared
+/// host cannot fail the run by itself; every repeat is written to
+/// `BENCH_restore.json`.
+const GATE_REPEATS: usize = 3;
+
+/// Sorts `stats` by `key` and returns the median element (the upper
+/// one for an even count).
+fn median_by<T: Clone>(stats: &[T], key: impl Fn(&T) -> f64) -> T {
+    let mut sorted = stats.to_vec();
+    sorted.sort_by(|a, b| key(a).total_cmp(&key(b)));
+    sorted[sorted.len() / 2].clone()
+}
+
+/// Renders values as a JSON array with three decimals.
+fn json_array(values: impl IntoIterator<Item = f64>) -> String {
+    let parts: Vec<String> = values.into_iter().map(|v| format!("{v:.3}")).collect();
+    format!("[{}]", parts.join(", "))
+}
 
 struct Cfg {
     quick: bool,
@@ -366,7 +388,7 @@ fn main() {
     // independently of the compute-kernel trajectory.
     let mut rstats: Vec<KernelStat> = Vec::new();
     let mut rderived: Vec<(String, String)> = Vec::new();
-    let (restore_l3_median, checksum_speedup) = {
+    let (restore_l3_repeats, restore_l3_median, checksum_speedup) = {
         let mut net = models::default_perception_cnn(11).expect("reference model builds");
         let ladder = LadderConfig::new(vec![0.0, 0.3, 0.6, 0.9])
             .criterion(PruneCriterion::ChannelL2)
@@ -377,22 +399,31 @@ fn main() {
         // Round trip to every ladder level. One round trip per batch
         // (iters = 1): each sample is one full prune-and-restore, and
         // the ladder is back at level 0 between samples by construction.
+        // Level 3 feeds the `restore_l3_speedup` floor, so its section
+        // runs GATE_REPEATS times and reports the median repeat.
+        let mut restore_l3_repeats = Vec::new();
         let mut restore_l3_median = 0.0;
         for level in 1..=3usize {
-            let mut samples = criterion::SampleStats::default();
             // Warmup: populate the segment pools before timing.
             pruner.set_level(&mut net, level).expect("warmup prune");
             pruner.set_level(&mut net, 0).expect("warmup restore");
-            for _ in 0..cfg.restore_batches {
-                samples.batch_ns.push(criterion::time_batch(1, &mut || {
-                    pruner.set_level(&mut net, level).expect("prune");
-                    pruner.set_level(&mut net, 0).expect("restore from log");
-                }));
-            }
-            let stat =
-                KernelStat::from_samples(&format!("restore_roundtrip_L{level}"), &samples, 1);
+            let repeats = if level == 3 { GATE_REPEATS } else { 1 };
+            let runs: Vec<KernelStat> = (0..repeats)
+                .map(|_| {
+                    let mut samples = criterion::SampleStats::default();
+                    for _ in 0..cfg.restore_batches {
+                        samples.batch_ns.push(criterion::time_batch(1, &mut || {
+                            pruner.set_level(&mut net, level).expect("prune");
+                            pruner.set_level(&mut net, 0).expect("restore from log");
+                        }));
+                    }
+                    KernelStat::from_samples(&format!("restore_roundtrip_L{level}"), &samples, 1)
+                })
+                .collect();
+            let stat = median_by(&runs, |s| s.median_ns);
             println!("  restore round trip L{level}: {:.0} ns", stat.median_ns);
             if level == 3 {
+                restore_l3_repeats = runs.iter().map(|s| s.median_ns).collect();
                 restore_l3_median = stat.median_ns;
                 stats.push(stat.clone());
             }
@@ -449,7 +480,7 @@ fn main() {
         );
         rstats.push(pair.a);
         rstats.push(pair.b);
-        (restore_l3_median, checksum_speedup)
+        (restore_l3_repeats, restore_l3_median, checksum_speedup)
     };
     let restore_l3_speedup = RESTORE_L3_BASELINE_NS / restore_l3_median;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -459,6 +490,10 @@ fn main() {
         format!("{RESTORE_L3_BASELINE_NS:.1}"),
     ));
     rderived.push(("restore_l3_speedup".to_string(), format!("{restore_l3_speedup:.3}")));
+    rderived.push((
+        "restore_l3_speedup_repeats".to_string(),
+        json_array(restore_l3_repeats.iter().map(|m| RESTORE_L3_BASELINE_NS / m)),
+    ));
     rderived.push(("checksum_speedup".to_string(), format!("{checksum_speedup:.3}")));
 
     // --- 3a. Precision residuals: packing an int8 rung (quantize the
@@ -654,33 +689,45 @@ fn main() {
             off.step(t, dt).expect("spill-off warmup");
         }
         let steady = &ticks[ticks.len() / 2];
-        let pair = measure_pair(
-            "tick_spill_on",
-            "tick_spill_off",
-            cfg.batches,
-            cfg.tick_iters,
-            || {
-                on.step(steady, dt).expect("spill-on tick");
-            },
-            || {
-                off.step(steady, dt).expect("spill-off tick");
-            },
-        );
+        let repeats: Vec<_> = (0..GATE_REPEATS)
+            .map(|_| {
+                measure_pair(
+                    "tick_spill_on",
+                    "tick_spill_off",
+                    cfg.batches,
+                    cfg.tick_iters,
+                    || {
+                        on.step(steady, dt).expect("spill-on tick");
+                    },
+                    || {
+                        off.step(steady, dt).expect("spill-off tick");
+                    },
+                )
+            })
+            .collect();
         // off/on: 1.0 means spilling is free; the acceptance floor is
-        // 0.95 (amortized appends must cost <= ~5% of a tick).
+        // 0.95 (amortized appends must cost <= ~5% of a tick), read on
+        // the median of GATE_REPEATS interleaved measurements.
+        let pair = median_by(&repeats, |p| p.ratio_b_over_a);
         let spill_ratio = pair.ratio_b_over_a;
         println!(
-            "  tick: spill on {:.0} ns, off {:.0} ns (off/on = {spill_ratio:.3})",
-            pair.a.median_ns, pair.b.median_ns
+            "  tick: spill on {:.0} ns, off {:.0} ns (off/on = {spill_ratio:.3}, median of {:?})",
+            pair.a.median_ns,
+            pair.b.median_ns,
+            repeats.iter().map(|p| p.ratio_b_over_a).collect::<Vec<_>>()
         );
         rstats.push(pair.a);
         rstats.push(pair.b);
         rderived.push(("spill_tick_ratio_off_over_on".to_string(), format!("{spill_ratio:.3}")));
+        rderived.push((
+            "spill_tick_ratio_off_over_on_repeats".to_string(),
+            json_array(repeats.iter().map(|p| p.ratio_b_over_a)),
+        ));
         if !cfg.quick {
             assert!(
                 spill_ratio >= 0.95,
                 "steady-state tick with spilling must stay within 5% of no-spill \
-                 (off/on = {spill_ratio:.3})"
+                 on the median repeat (off/on = {spill_ratio:.3})"
             );
         }
     }
@@ -817,8 +864,9 @@ fn main() {
         }
         assert!(
             restore_l3_speedup >= 4.0,
-            "restore_roundtrip_L3 must be >= 4x the pre-fast-path baseline \
-             (got {restore_l3_speedup:.2}x, median {restore_l3_median:.0} ns)"
+            "restore_roundtrip_L3 must be >= 4x the pre-fast-path baseline on the median \
+             repeat (got {restore_l3_speedup:.2}x, median {restore_l3_median:.0} ns of \
+             repeats {restore_l3_repeats:?} ns)"
         );
         assert!(
             checksum_speedup >= 4.0,

@@ -72,19 +72,13 @@ pub fn price(soc: &SocModel, scenario: RestoreScenario, path: RestorePath) -> Re
             standing_memory: Bytes((scenario.pruned_entries * 8) as u64),
             bit_exact: true,
         },
-        RestorePath::Snapshot => {
-            let latency = soc.snapshot_restore_latency(scenario.model_bytes);
-            RestoreCost {
-                path,
-                latency,
-                energy: Joules(
-                    2.0 * scenario.model_bytes.as_f64() * soc.energy_per_dram_byte
-                        + latency.0 * soc.idle_power_watts,
-                ),
-                standing_memory: scenario.model_bytes,
-                bit_exact: true,
-            }
-        }
+        RestorePath::Snapshot => RestoreCost {
+            path,
+            latency: soc.snapshot_restore_latency(scenario.model_bytes),
+            energy: soc.snapshot_restore_energy(scenario.model_bytes),
+            standing_memory: scenario.model_bytes,
+            bit_exact: true,
+        },
         RestorePath::StorageReload => RestoreCost {
             path,
             latency: soc.storage_reload_latency(scenario.model_bytes),

@@ -197,6 +197,16 @@ impl SocModel {
         )
     }
 
+    /// Energy of a full in-RAM snapshot copy of `bytes`: every byte is
+    /// read and written once, plus idle power over
+    /// [`SocModel::snapshot_restore_latency`].
+    pub fn snapshot_restore_energy(&self, bytes: Bytes) -> Joules {
+        Joules(
+            2.0 * bytes.as_f64() * self.energy_per_dram_byte
+                + self.snapshot_restore_latency(bytes).0 * self.idle_power_watts,
+        )
+    }
+
     /// Energy of a storage reload.
     pub fn storage_reload_energy(&self, bytes: Bytes) -> Joules {
         Joules(

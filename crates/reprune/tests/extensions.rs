@@ -9,7 +9,8 @@ use reprune::prune::{LadderConfig, OneShotPruner, PruneCriterion, ReversiblePrun
 use reprune::runtime::envelope::SafetyEnvelope;
 use reprune::runtime::manager::{RestoreMechanism, RuntimeManager, RuntimeManagerConfig};
 use reprune::runtime::policy::{AdaptiveConfig, Policy};
-use reprune::scenario::{ScenarioConfig, SegmentKind, Weather};
+use reprune::runtime::FaultPlan;
+use reprune::scenario::{FaultEvent, FaultKind, ScenarioConfig, SegmentKind, Weather};
 
 fn trained() -> (Network, SceneDataset) {
     let data = SceneDataset::builder()
@@ -132,12 +133,22 @@ fn sensor_blackout_forces_full_capacity_under_load() {
         .fixed_weather(Weather::Clear)
         .generate();
     let dt = scenario.config().dt_s;
-    for tick in scenario.ticks().iter().take(200) {
+    let ticks = scenario.ticks();
+    // A scheduled blackout over ticks 200..240.
+    mgr.set_fault_plan(Some(FaultPlan::new(
+        vec![FaultEvent {
+            start_s: ticks[200].t,
+            kind: FaultKind::SensorBlackout {
+                duration_s: 40.0 * dt,
+            },
+        }],
+        4,
+    )));
+    for tick in &ticks[..200] {
         mgr.step(tick, dt).unwrap();
     }
     assert!(mgr.current_level() > 0, "calm drive should be pruned");
-    mgr.set_sensor_failed(true);
-    for tick in scenario.ticks().iter().skip(200).take(40) {
+    for tick in &ticks[200..240] {
         mgr.step(tick, dt).unwrap();
     }
     assert_eq!(

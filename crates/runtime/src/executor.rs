@@ -9,9 +9,8 @@
 //!    become per-member ladder levels through the heap-ordered greedy of
 //!    [`FleetPlanner`] (DESIGN.md §15), whose plans are byte-identical
 //!    to [`crate::fleet::plan_budget_prevalidated`]. Member profiles are
-//!    validated once, at construction; a member whose Knowledge bumps
-//!    its plan epoch (an energy reprofile) is re-derived and
-//!    re-validated at that mutation edge.
+//!    derived from each member's attach-time Knowledge and validated
+//!    once, at construction; they never change afterwards.
 //! 2. **Inject** — each arbitrated level becomes an
 //!    [`ExternalCap`](crate::knowledge::ExternalCap) on that member's
 //!    Plan stage: a level *floor* the local policy may deepen but not
@@ -38,7 +37,7 @@ use crate::{Result, RuntimeError};
 use reprune_platform::Joules;
 use reprune_scenario::{Scenario, Tick};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// One member's slice of a [`FleetTickRecord`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -177,10 +176,6 @@ pub struct FleetRuntime {
     /// The budget arbiter. It owns the validated member profiles and
     /// keeps each member's risk band and its plan cache across ticks.
     planner: FleetPlanner,
-    /// Per-member [`crate::knowledge::Knowledge::plan_epoch`] snapshot.
-    /// A member whose manager bumped its epoch gets its profile
-    /// re-derived (and re-validated) before the next arbitration.
-    planner_epochs: Vec<u64>,
     /// Wall-clock seconds the most recent arbitration took.
     last_plan_s: f64,
 }
@@ -215,15 +210,10 @@ impl FleetRuntime {
             managers.push(manager);
         }
         let workers = std::thread::available_parallelism().map_or(1, usize::from);
-        let planner_epochs = managers
-            .iter()
-            .map(|m| m.knowledge_state().plan_epoch)
-            .collect();
         Ok(FleetRuntime {
             managers,
             workers,
             planner: FleetPlanner::new(profiles)?,
-            planner_epochs,
             last_plan_s: 0.0,
         })
     }
@@ -338,7 +328,6 @@ impl FleetRuntime {
         budget: Option<Joules>,
     ) -> Result<FleetTickRecord> {
         let planned_at = std::time::Instant::now();
-        self.refresh_profiles()?;
         let plan = self.planner.plan(risks, budget)?;
         self.last_plan_s = planned_at.elapsed().as_secs_f64();
         for (manager, &level) in self.managers.iter_mut().zip(&plan.levels) {
@@ -369,31 +358,6 @@ impl FleetRuntime {
         })
     }
 
-    /// Re-derives any member profile whose manager bumped its
-    /// plan-relevant Knowledge epoch since the last arbitration (e.g. an
-    /// energy reprofile) and hands it to the planner. Validation happens
-    /// here, at the mutation edge — the arbitration hot path never
-    /// re-validates.
-    fn refresh_profiles(&mut self) -> Result<()> {
-        for (i, manager) in self.managers.iter().enumerate() {
-            let epoch = manager.knowledge_state().plan_epoch;
-            if epoch == self.planner_epochs[i] {
-                continue;
-            }
-            let old = &self.planner.members()[i];
-            // `from_knowledge` runs the full member validation.
-            let profile = FleetMember::from_knowledge(
-                old.name.clone(),
-                old.envelope.clone(),
-                manager.knowledge(),
-                old.utility_per_level.clone(),
-            )?;
-            self.planner.update_member(i, profile)?;
-            self.planner_epochs[i] = epoch;
-        }
-        Ok(())
-    }
-
     /// Steps every member once on [`FleetRuntime::pool_size`] threads:
     /// the calling thread plus scoped helpers, all claiming members from
     /// one shared iterator, so a slow member never stalls a fixed chunk.
@@ -408,12 +372,11 @@ impl FleetRuntime {
         let claim_loop = || {
             let mut stepped = Vec::new();
             loop {
-                // The lock guards only the claim, never a member's step,
-                // and `next` cannot panic, so it is never poisoned.
-                let claim = claims
-                    .lock()
-                    .expect("the claim lock is never poisoned")
-                    .next();
+                // The lock guards only the claim, never a member's step.
+                // `next` on the enumerated slice iterator leaves it valid
+                // at every point, so even a poisoned lock holds an
+                // iterator that is safe to keep claiming from.
+                let claim = claims.lock().unwrap_or_else(PoisonError::into_inner).next();
                 let Some((i, manager)) = claim else {
                     return stepped;
                 };

@@ -137,10 +137,6 @@ pub struct Knowledge {
     pub fault_onset: Option<f64>,
     /// Completed fault-episode durations (onset → return to Normal).
     pub fault_recoveries: Vec<f64>,
-    /// Manual (test-injected) risk-sensor failure override.
-    pub manual_sensor_failed: bool,
-    /// Manual (test-injected) confidence-signal failure override.
-    pub manual_confidence_failed: bool,
     /// End of the scheduled risk-sensor blackout window.
     pub sensor_fault_until: f64,
     /// End of the scheduled confidence-dropout window.
@@ -149,13 +145,6 @@ pub struct Knowledge {
     pub overrun_until: f64,
     /// Extra per-tick latency while the overrun window is active.
     pub overrun_extra_s: f64,
-    /// Per-tick time budget for amortized restores, seconds. When set,
-    /// a multi-level climb back toward capacity is spread across ticks:
-    /// each tick applies whole one-level slices until the next slice
-    /// would overflow this budget (always at least one, so progress is
-    /// guaranteed). `None` restores in one shot, scheduling a pending
-    /// restore when the transition exceeds the control period.
-    pub restore_budget_s: Option<f64>,
     /// Fleet-arbitrated level floor for the next planned tick, if any.
     /// Written by an external budget arbiter between ticks; read by the
     /// Plan stage. Cleared only by the arbiter — a cap persists until
@@ -163,15 +152,6 @@ pub struct Knowledge {
     pub external_cap: Option<ExternalCap>,
     /// Costs and flags for the tick currently being stepped.
     pub tick: TickBudget,
-    /// Monotone edition counter for *plan-relevant* knowledge — bumped by
-    /// [`Knowledge::note_plan_relevant_change`] whenever the per-level
-    /// cost profile changes after attach (e.g. an energy reprofile). A
-    /// fleet arbiter snapshots it per member and re-derives that member's
-    /// [`crate::fleet::FleetMember`] profile only when the epoch moved.
-    /// Purely derived bookkeeping: it carries no plan state of its own,
-    /// so a runtime rebuilt from a recovery device (epoch back at zero)
-    /// plans identically.
-    pub plan_epoch: u64,
 }
 
 impl Knowledge {
@@ -197,24 +177,13 @@ impl Knowledge {
             faults_repaired: 0,
             fault_onset: None,
             fault_recoveries: Vec::new(),
-            manual_sensor_failed: false,
-            manual_confidence_failed: false,
             sensor_fault_until: f64::NEG_INFINITY,
             confidence_fault_until: f64::NEG_INFINITY,
             overrun_until: f64::NEG_INFINITY,
             overrun_extra_s: 0.0,
-            restore_budget_s: None,
             external_cap: None,
             tick: TickBudget::default(),
-            plan_epoch: 0,
         }
-    }
-
-    /// Bumps the plan-relevant edition counter. Call after any mutation
-    /// of [`Knowledge::levels`] that a budget planner would care about
-    /// (per-level energy, added/removed levels).
-    pub fn note_plan_relevant_change(&mut self) {
-        self.plan_epoch += 1;
     }
 
     /// Resets the per-tick budget at the start of a step.

@@ -105,9 +105,6 @@ pub struct RuntimeManagerConfig {
     pub defense: FaultDefense,
     /// Capacity of the tick-event trace ring buffer.
     pub trace_capacity: usize,
-    /// Per-tick time budget for amortized restores, seconds (see
-    /// [`Knowledge::restore_budget_s`]). `None` keeps one-shot restores.
-    pub restore_budget_s: Option<f64>,
     /// Durable reversal-log spill configuration; `None` (the default)
     /// keeps everything in RAM with no crash recovery.
     pub spill: Option<SpillConfig>,
@@ -130,7 +127,6 @@ impl RuntimeManagerConfig {
             odd: OddSpec::permissive(),
             defense: FaultDefense::FullChain,
             trace_capacity: crate::trace::DEFAULT_TRACE_CAPACITY,
-            restore_budget_s: None,
             spill: None,
             fine_tune_data: FineTuneData::default(),
         }
@@ -181,14 +177,6 @@ impl RuntimeManagerConfig {
     /// Sets the trace ring-buffer capacity.
     pub fn trace_capacity(mut self, capacity: usize) -> Self {
         self.trace_capacity = capacity;
-        self
-    }
-
-    /// Enables amortized restores: multi-level climbs back toward
-    /// capacity are sliced level by level across ticks, spending at most
-    /// `seconds` of restore work per tick (at least one slice per tick).
-    pub fn restore_budget(mut self, seconds: f64) -> Self {
-        self.restore_budget_s = Some(seconds);
         self
     }
 
@@ -367,8 +355,7 @@ impl RuntimeManager {
             storage: StorageHealth::new(),
             spill: None,
         };
-        let mut knowledge = Knowledge::new(levels, model_bytes, sealed_checksum);
-        knowledge.restore_budget_s = config.restore_budget_s;
+        let knowledge = Knowledge::new(levels, model_bytes, sealed_checksum);
         let chain = RestoreChain {
             mechanism: config.mechanism,
             scale_factor: config.scale.factor,
@@ -507,7 +494,13 @@ impl RuntimeManager {
                 crate::spill::apply_weight_patches(&mut mgr.plant.net, &m.weight_patches);
             mgr.plant.pruner.import_cursor(m.cursor);
             mgr.plant.sync_mirror()?;
-            m.apply_to_knowledge(&mut mgr.knowledge);
+            // Attach rebuilt the per-level profile and the model size;
+            // everything else comes from the mark.
+            mgr.knowledge = Knowledge {
+                levels: std::mem::take(&mut mgr.knowledge.levels),
+                model_bytes: mgr.knowledge.model_bytes,
+                ..m.knowledge.clone()
+            };
             mgr.plant.frame_rng = Prng::from_parts(m.frame_rng.0, m.frame_rng.1);
             mgr.plant.corruption_rng = Prng::from_parts(m.corruption_rng.0, m.corruption_rng.1);
             mgr.plant.storage =
@@ -583,30 +576,6 @@ impl RuntimeManager {
         self.knowledge.external_cap = cap;
     }
 
-    /// Overwrites the profiled per-tick inference energy of one ladder
-    /// level — a post-attach reprofile (a recalibration pass, a thermal
-    /// derate) — and bumps [`Knowledge::plan_epoch`] so fleet arbiters
-    /// notice the profile moved.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::BadConfig`] if `level` is out of range.
-    pub fn reprofile_level_energy(
-        &mut self,
-        level: usize,
-        energy: reprune_platform::Joules,
-    ) -> Result<()> {
-        let Some(lk) = self.knowledge.levels.get_mut(level) else {
-            return Err(RuntimeError::bad_config(format!(
-                "reprofile: level {level} out of range ({} levels)",
-                self.knowledge.levels.len()
-            )));
-        };
-        lk.inference.energy = energy;
-        self.knowledge.note_plan_relevant_change();
-        Ok(())
-    }
-
     /// One `(storage_id, bytes)` entry for every weight tensor this
     /// runtime holds: the live network, the fault-free mirror twin, and
     /// the snapshot-restore baseline. Tensors cloned from one trained
@@ -643,20 +612,6 @@ impl RuntimeManager {
     /// Replaces the Execute stage.
     pub fn set_executor(&mut self, executor: Box<dyn Execute>) {
         self.executor = executor;
-    }
-
-    /// Injects or clears a risk-sensor failure (failure injection for
-    /// resilience testing). While failed, the Monitor drives the estimate
-    /// toward the configured fail-safe risk, which makes the adaptive
-    /// policy restore capacity.
-    pub fn set_sensor_failed(&mut self, failed: bool) {
-        self.knowledge.manual_sensor_failed = failed;
-    }
-
-    /// Injects or clears a confidence-signal dropout. While failed, the
-    /// Monitor charges the worst-case confidence deficit (fail-safe).
-    pub fn set_confidence_failed(&mut self, failed: bool) {
-        self.knowledge.manual_confidence_failed = failed;
     }
 
     /// Installs a fault campaign to execute against the next run. Pass
@@ -860,7 +815,7 @@ impl RuntimeManager {
             } else {
                 Vec::new()
             };
-            let payload = crate::spill::encode_mark(&crate::spill::MarkInputs {
+            let payload = crate::spill::encode_mark(&crate::spill::Mark {
                 tick_index: self.ticks_done as u64 + 1,
                 t: tick.t,
                 current_level: self.plant.pruner.current_level() as u32,
@@ -868,7 +823,7 @@ impl RuntimeManager {
                 manifest: spill.manifest(),
                 log_patches,
                 weight_patches,
-                k: &self.knowledge,
+                knowledge: self.knowledge.clone(),
                 frame_rng: self.plant.frame_rng.state_parts(),
                 corruption_rng: self.plant.corruption_rng.state_parts(),
                 storage: self.plant.storage.state_parts(),

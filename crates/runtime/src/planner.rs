@@ -262,7 +262,7 @@ pub struct FleetPlanner {
     /// `None` until the first successful plan.
     bands: Vec<Option<(u64, usize)>>,
     /// The last plan and the budget bits it was made under: the
-    /// quiet-tick cache. A profile change drops it.
+    /// quiet-tick cache.
     last: Option<(Option<u64>, BudgetPlan)>,
     stats: PlannerStats,
 }
@@ -302,31 +302,6 @@ impl FleetPlanner {
     /// counters).
     pub fn stats(&self) -> PlannerStats {
         self.stats
-    }
-
-    /// Replaces one member's profile (admission-time validation: the
-    /// profile is checked here, at the mutation edge, never on the
-    /// per-tick hot path). The member's last risk is re-banded under the
-    /// new envelope, and the plan cache is dropped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::BadConfig`] if `index` is out of range or
-    /// the new profile fails [`FleetMember::validate`].
-    pub fn update_member(&mut self, index: usize, member: FleetMember) -> Result<()> {
-        if index >= self.members.len() {
-            return Err(RuntimeError::bad_config(format!(
-                "member {index} out of range ({} members)",
-                self.members.len()
-            )));
-        }
-        member.validate()?;
-        if let Some((bits, band)) = &mut self.bands[index] {
-            *band = member.envelope.max_level(f64::from_bits(*bits));
-        }
-        self.members[index] = member;
-        self.last = None;
-        Ok(())
     }
 
     /// Plans the fleet under `budget` at the given per-member risks —
@@ -678,24 +653,6 @@ mod tests {
         let scratch = plan_budget_prevalidated(&members, &good, budget).unwrap();
         assert_eq!(planner.plan(&good, budget).unwrap(), scratch);
         assert!(planner.stats().cache_hit);
-    }
-
-    #[test]
-    fn update_member_revalidates_and_replans() {
-        let (members, risks) = synth(6);
-        let mut planner = FleetPlanner::new(members.clone()).unwrap();
-        let budget = Some(Joules(20.0));
-        planner.plan(&risks, budget).unwrap();
-        // An invalid replacement profile is rejected at the mutation edge.
-        let mut bad = members[2].clone();
-        bad.energy_per_level[1] = Joules(1e9);
-        assert!(planner.update_member(2, bad).is_err());
-        // A valid replacement takes effect immediately and exactly.
-        let mut updated = members.clone();
-        updated[2] = member("s2b", &[40.0, 20.0, 10.0, 5.0], &[0.99, 0.98, 0.9, 0.5]);
-        planner.update_member(2, updated[2].clone()).unwrap();
-        let scratch = plan_budget_prevalidated(&updated, &risks, budget).unwrap();
-        assert_eq!(planner.plan(&risks, budget).unwrap(), scratch);
     }
 
     #[test]

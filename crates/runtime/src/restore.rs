@@ -89,15 +89,6 @@ impl RestoreChain {
         }
     }
 
-    /// Whether the configured mechanism can be applied in per-level
-    /// slices under an amortized per-tick time budget. Only the delta
-    /// log is incremental by construction — it restores level by level
-    /// — while snapshot and storage reload move the whole image in one
-    /// shot.
-    pub fn supports_amortized(&self) -> bool {
-        self.mechanism == RestoreMechanism::DeltaLog
-    }
-
     /// Energy of restoring `entries_restored` log entries under the
     /// configured mechanism.
     pub fn restore_energy(&self, entries_restored: usize) -> Joules {
@@ -105,13 +96,7 @@ impl RestoreChain {
             RestoreMechanism::DeltaLog => self
                 .soc
                 .delta_restore_energy((entries_restored as f64 * self.scale_factor) as usize),
-            RestoreMechanism::Snapshot => {
-                let lat = self.soc.snapshot_restore_latency(self.model_bytes);
-                Joules(
-                    2.0 * self.model_bytes.as_f64() * self.soc.energy_per_dram_byte
-                        + lat.0 * self.soc.idle_power_watts,
-                )
-            }
+            RestoreMechanism::Snapshot => self.soc.snapshot_restore_energy(self.model_bytes),
             RestoreMechanism::StorageReload => self.soc.storage_reload_energy(self.model_bytes),
         }
     }
@@ -215,12 +200,8 @@ impl RestoreChain {
         rep: &mut ChainReport,
         trace: &mut TickTrace,
     ) -> Result<()> {
-        let lat = self.soc.snapshot_restore_latency(self.model_bytes);
-        rep.latency += lat;
-        rep.energy += Joules(
-            2.0 * self.model_bytes.as_f64() * self.soc.energy_per_dram_byte
-                + lat.0 * self.soc.idle_power_watts,
-        );
+        rep.latency += self.soc.snapshot_restore_latency(self.model_bytes);
+        rep.energy += self.soc.snapshot_restore_energy(self.model_bytes);
         trace.record(
             t,
             StageId::Execute,

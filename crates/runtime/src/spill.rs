@@ -25,19 +25,22 @@
 //! ([`crate::trace::TraceEventKind::SpillTailTruncated`]).
 
 use crate::faults::OperatingState;
-use crate::knowledge::{ExternalCap, Knowledge, PendingRestore};
+use crate::knowledge::{ExternalCap, Knowledge, PendingRestore, TickBudget};
 use crate::plant::Plant;
 use crate::restore::{ChainReport, RestoreChain};
 use crate::trace::{ChainHop, StageId, TickTrace, TraceEventKind};
 use reprune_nn::{LayerId, Network};
-use reprune_platform::{DurableLog, StorageHealth};
+use reprune_platform::{Bytes, DurableLog, StorageHealth};
 use reprune_prune::pruner::LevelDelta;
 use reprune_prune::spill::{self as codec, PayloadReader, PayloadWriter, RecordKind};
 use reprune_prune::{IntegrityStats, PrunerCursor, ReversiblePruner};
 use std::collections::VecDeque;
 
-/// Version tag of the mark payload layout.
-const MARK_VERSION: u32 = 1;
+/// Version tag of the mark payload layout. Version 2 dropped the
+/// amortized restore budget and the two manual channel-failure flags.
+/// Other versions do not decode, so a device whose marks are all of
+/// another version resumes from tick 0 on its base record.
+const MARK_VERSION: u32 = 2;
 
 /// Configuration of the durable reversal-log spill.
 #[derive(Debug, Clone, PartialEq)]
@@ -675,9 +678,11 @@ pub(crate) fn apply_weight_patches(net: &mut Network, patches: &[(u32, u32, u32)
 // Commit-mark codec
 // ---------------------------------------------------------------------
 
-/// Everything a commit mark snapshots, borrowed from the manager at the
-/// end of a tick.
-pub(crate) struct MarkInputs<'a> {
+/// A commit mark: the full runtime state at the end of one tick, which
+/// recovery replays. [`encode_mark`] writes each field once and
+/// [`decode_mark`] reads it back once, in the same order.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Mark {
     pub tick_index: u64,
     pub t: f64,
     pub current_level: u32,
@@ -685,7 +690,10 @@ pub(crate) struct MarkInputs<'a> {
     pub manifest: Vec<u64>,
     pub log_patches: Vec<(u32, u32, u32)>,
     pub weight_patches: Vec<(u32, u32, u32)>,
-    pub k: &'a Knowledge,
+    /// The cross-stage state. Attach rebuilds `levels`, `model_bytes`
+    /// and the per-tick budget, so the mark does not carry them: a
+    /// decoded mark holds them empty, zero and default.
+    pub knowledge: Knowledge,
     pub frame_rng: ([u64; 4], Option<f32>),
     pub corruption_rng: ([u64; 4], Option<f32>),
     pub storage: (f64, f64, f64, bool),
@@ -696,28 +704,77 @@ pub(crate) struct MarkInputs<'a> {
     pub trace_dropped: u64,
 }
 
-fn put_opt_f64(w: &mut PayloadWriter, v: Option<f64>) {
+/// Writes a presence word, then `v` or the `absent` placeholder, so an
+/// optional field has the same size either way.
+fn put_opt<T: Copy>(
+    w: &mut PayloadWriter,
+    v: Option<T>,
+    absent: T,
+    put: impl FnOnce(&mut PayloadWriter, T),
+) {
     w.put_u32(u32::from(v.is_some()));
-    w.put_f64_bits(v.unwrap_or(0.0));
+    put(w, v.unwrap_or(absent));
+}
+
+/// Writes a count word, then each item.
+fn put_list<T: Copy>(
+    w: &mut PayloadWriter,
+    items: &[T],
+    mut put: impl FnMut(&mut PayloadWriter, T),
+) {
+    w.put_u32(items.len() as u32);
+    for &item in items {
+        put(w, item);
+    }
+}
+
+fn put_triple(w: &mut PayloadWriter, (a, b, c): (u32, u32, u32)) {
+    w.put_u32(a);
+    w.put_u32(b);
+    w.put_u32(c);
 }
 
 fn put_rng(w: &mut PayloadWriter, rng: &([u64; 4], Option<f32>)) {
     for &word in &rng.0 {
         w.put_u64(word);
     }
-    w.put_u32(u32::from(rng.1.is_some()));
-    w.put_u32(rng.1.unwrap_or(0.0).to_bits());
+    put_opt(w, rng.1.map(f32::to_bits), 0, PayloadWriter::put_u32);
 }
 
-fn put_words(w: &mut PayloadWriter, words: &[u64]) {
-    w.put_u32(words.len() as u32);
-    for &word in words {
-        w.put_u64(word);
-    }
+fn put_knowledge(w: &mut PayloadWriter, k: &Knowledge) {
+    w.put_u32(
+        u32::from(k.integrity_bad) | u32::from(k.log_bad) << 1 | u32::from(k.reload_wanted) << 2,
+    );
+    w.put_u32(match k.op_state {
+        OperatingState::Normal => 0,
+        OperatingState::Degraded => 1,
+        OperatingState::MinimalRisk => 2,
+    });
+    w.put_u64(k.sealed_checksum);
+    put_opt(w, k.pending, PendingRestore { target: 0, ready_at: 0.0 }, |w, p| {
+        w.put_u32(p.target as u32);
+        w.put_f64_bits(p.ready_at);
+    });
+    put_opt(w, k.pending_reload, 0.0, PayloadWriter::put_f64_bits);
+    w.put_f64_bits(k.reload_backoff_s);
+    w.put_f64_bits(k.next_reload_attempt_s);
+    w.put_u32(k.snapshot_flips);
+    w.put_f64_bits(k.last_confidence);
+    w.put_u64(k.transitions as u64);
+    w.put_u64(k.faults_injected as u64);
+    w.put_u64(k.faults_detected as u64);
+    w.put_u64(k.faults_repaired as u64);
+    put_opt(w, k.fault_onset, 0.0, PayloadWriter::put_f64_bits);
+    put_list(w, &k.fault_recoveries, PayloadWriter::put_f64_bits);
+    w.put_f64_bits(k.sensor_fault_until);
+    w.put_f64_bits(k.confidence_fault_until);
+    w.put_f64_bits(k.overrun_until);
+    w.put_f64_bits(k.overrun_extra_s);
+    put_opt(w, k.external_cap.map(|c| c.level as u32), 0, PayloadWriter::put_u32);
 }
 
 /// Serializes a commit mark.
-pub(crate) fn encode_mark(m: &MarkInputs) -> Vec<u8> {
+pub(crate) fn encode_mark(m: &Mark) -> Vec<u8> {
     let mut w = PayloadWriter::new();
     w.put_u32(MARK_VERSION);
     w.put_u64(m.tick_index);
@@ -729,300 +786,151 @@ pub(crate) fn encode_mark(m: &MarkInputs) -> Vec<u8> {
     w.put_u64(m.cursor.stats.repairs);
     w.put_u64(m.cursor.stats.corruption_hits);
     w.put_u64(m.cursor.alloc_events as u64);
-    put_words(&mut w, &m.manifest);
-    w.put_u32(m.log_patches.len() as u32);
-    for &(seg, idx, bits) in &m.log_patches {
-        w.put_u32(seg);
-        w.put_u32(idx);
-        w.put_u32(bits);
-    }
-    w.put_u32(m.weight_patches.len() as u32);
-    for &(layer, idx, bits) in &m.weight_patches {
-        w.put_u32(layer);
-        w.put_u32(idx);
-        w.put_u32(bits);
-    }
-    let k = m.k;
-    w.put_u32(match k.op_state {
-        OperatingState::Normal => 0,
-        OperatingState::Degraded => 1,
-        OperatingState::MinimalRisk => 2,
-    });
-    w.put_u64(k.sealed_checksum);
-    let flags = u32::from(k.integrity_bad)
-        | u32::from(k.log_bad) << 1
-        | u32::from(k.reload_wanted) << 2
-        | u32::from(k.manual_sensor_failed) << 3
-        | u32::from(k.manual_confidence_failed) << 4;
-    w.put_u32(flags);
-    w.put_u32(u32::from(k.pending.is_some()));
-    w.put_u32(k.pending.map(|p| p.target as u32).unwrap_or(0));
-    w.put_f64_bits(k.pending.map(|p| p.ready_at).unwrap_or(0.0));
-    put_opt_f64(&mut w, k.pending_reload);
-    w.put_f64_bits(k.reload_backoff_s);
-    w.put_f64_bits(k.next_reload_attempt_s);
-    w.put_u32(k.snapshot_flips);
-    w.put_f64_bits(k.last_confidence);
-    w.put_u64(k.transitions as u64);
-    w.put_u64(k.faults_injected as u64);
-    w.put_u64(k.faults_detected as u64);
-    w.put_u64(k.faults_repaired as u64);
-    put_opt_f64(&mut w, k.fault_onset);
-    w.put_u32(k.fault_recoveries.len() as u32);
-    for &r in &k.fault_recoveries {
-        w.put_f64_bits(r);
-    }
-    w.put_f64_bits(k.sensor_fault_until);
-    w.put_f64_bits(k.confidence_fault_until);
-    w.put_f64_bits(k.overrun_until);
-    w.put_f64_bits(k.overrun_extra_s);
-    put_opt_f64(&mut w, k.restore_budget_s);
-    w.put_u32(u32::from(k.external_cap.is_some()));
-    w.put_u32(k.external_cap.map(|c| c.level as u32).unwrap_or(0));
+    put_list(&mut w, &m.manifest, PayloadWriter::put_u64);
+    put_list(&mut w, &m.log_patches, put_triple);
+    put_list(&mut w, &m.weight_patches, put_triple);
+    put_knowledge(&mut w, &m.knowledge);
     put_rng(&mut w, &m.frame_rng);
     put_rng(&mut w, &m.corruption_rng);
     w.put_f64_bits(m.storage.0);
     w.put_f64_bits(m.storage.1);
     w.put_f64_bits(m.storage.2);
     w.put_u32(u32::from(m.storage.3));
-    put_words(&mut w, &m.monitor_words);
-    put_words(&mut w, &m.planner_words);
-    w.put_u32(u32::from(m.plan_words.is_some()));
-    put_words(&mut w, m.plan_words.as_deref().unwrap_or(&[]));
+    put_list(&mut w, &m.monitor_words, PayloadWriter::put_u64);
+    put_list(&mut w, &m.planner_words, PayloadWriter::put_u64);
+    put_opt(&mut w, m.plan_words.as_deref(), &[], |w, words| {
+        put_list(w, words, PayloadWriter::put_u64)
+    });
     w.put_u64(m.trace_next_seq);
     w.put_u64(m.trace_dropped);
     w.into_bytes()
 }
 
-/// A decoded commit mark.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct MarkState {
-    pub tick_index: u64,
-    pub t: f64,
-    pub current_level: usize,
-    pub cursor: PrunerCursor,
-    pub manifest: Vec<u64>,
-    pub log_patches: Vec<(u32, u32, u32)>,
-    pub weight_patches: Vec<(u32, u32, u32)>,
-    pub op_state: OperatingState,
-    pub sealed_checksum: u64,
-    pub integrity_bad: bool,
-    pub log_bad: bool,
-    pub reload_wanted: bool,
-    pub manual_sensor_failed: bool,
-    pub manual_confidence_failed: bool,
-    pub pending: Option<PendingRestore>,
-    pub pending_reload: Option<f64>,
-    pub reload_backoff_s: f64,
-    pub next_reload_attempt_s: f64,
-    pub snapshot_flips: u32,
-    pub last_confidence: f64,
-    pub transitions: usize,
-    pub faults_injected: usize,
-    pub faults_detected: usize,
-    pub faults_repaired: usize,
-    pub fault_onset: Option<f64>,
-    pub fault_recoveries: Vec<f64>,
-    pub sensor_fault_until: f64,
-    pub confidence_fault_until: f64,
-    pub overrun_until: f64,
-    pub overrun_extra_s: f64,
-    pub restore_budget_s: Option<f64>,
-    pub external_cap: Option<ExternalCap>,
-    pub frame_rng: ([u64; 4], Option<f32>),
-    pub corruption_rng: ([u64; 4], Option<f32>),
-    pub storage: (f64, f64, f64, bool),
-    pub monitor_words: Vec<u64>,
-    pub planner_words: Vec<u64>,
-    pub plan_words: Option<Vec<u64>>,
-    pub trace_next_seq: u64,
-    pub trace_dropped: u64,
+// The decoders below read every field with `?`, so any short read
+// rejects the mark. Struct, tuple and array expressions evaluate their
+// operands in the order written, which is the order `encode_mark`
+// writes them.
+
+/// A boolean word: 0 or 1; anything else rejects the mark.
+fn get_bool(r: &mut PayloadReader) -> Option<bool> {
+    match r.u32()? {
+        0 => Some(false),
+        1 => Some(true),
+        _ => None,
+    }
 }
 
-fn get_opt_f64(r: &mut PayloadReader) -> Option<Option<f64>> {
-    let present = r.u32()? != 0;
-    let v = r.f64_bits()?;
+fn get_opt<'a, T>(
+    r: &mut PayloadReader<'a>,
+    get: impl FnOnce(&mut PayloadReader<'a>) -> Option<T>,
+) -> Option<Option<T>> {
+    let present = get_bool(r)?;
+    let v = get(r)?;
     Some(present.then_some(v))
 }
 
+/// A count word, then that many items of `width` bytes each. The count
+/// is bounded by the bytes left before anything is allocated for it.
+fn get_list<'a, T>(
+    r: &mut PayloadReader<'a>,
+    width: usize,
+    mut get: impl FnMut(&mut PayloadReader<'a>) -> Option<T>,
+) -> Option<Vec<T>> {
+    let count = r.u32()? as usize;
+    if count > r.remaining() / width {
+        return None;
+    }
+    (0..count).map(|_| get(r)).collect()
+}
+
+fn get_triple(r: &mut PayloadReader) -> Option<(u32, u32, u32)> {
+    Some((r.u32()?, r.u32()?, r.u32()?))
+}
+
 fn get_rng(r: &mut PayloadReader) -> Option<([u64; 4], Option<f32>)> {
-    let mut state = [0u64; 4];
-    for word in &mut state {
-        *word = r.u64()?;
-    }
-    let present = r.u32()? != 0;
-    let bits = r.u32()?;
-    Some((state, present.then_some(f32::from_bits(bits))))
+    let state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+    Some((state, get_opt(r, |r| r.u32().map(f32::from_bits))?))
 }
 
-fn get_words(r: &mut PayloadReader) -> Option<Vec<u64>> {
-    let count = r.u32()? as usize;
-    if count > r.remaining() / 8 {
+fn get_knowledge(r: &mut PayloadReader) -> Option<Knowledge> {
+    let flags = r.u32()?;
+    if flags & !0b111 != 0 {
         return None;
     }
-    (0..count).map(|_| r.u64()).collect()
-}
-
-fn get_triples(r: &mut PayloadReader) -> Option<Vec<(u32, u32, u32)>> {
-    let count = r.u32()? as usize;
-    if count > r.remaining() / 12 {
-        return None;
-    }
-    (0..count)
-        .map(|_| Some((r.u32()?, r.u32()?, r.u32()?)))
-        .collect()
+    Some(Knowledge {
+        levels: Vec::new(),
+        model_bytes: Bytes(0),
+        integrity_bad: flags & 1 != 0,
+        log_bad: flags & 2 != 0,
+        reload_wanted: flags & 4 != 0,
+        op_state: match r.u32()? {
+            0 => OperatingState::Normal,
+            1 => OperatingState::Degraded,
+            2 => OperatingState::MinimalRisk,
+            _ => return None,
+        },
+        sealed_checksum: r.u64()?,
+        pending: get_opt(r, |r| {
+            Some(PendingRestore {
+                target: r.u32()? as usize,
+                ready_at: r.f64_bits()?,
+            })
+        })?,
+        pending_reload: get_opt(r, PayloadReader::f64_bits)?,
+        reload_backoff_s: r.f64_bits()?,
+        next_reload_attempt_s: r.f64_bits()?,
+        snapshot_flips: r.u32()?,
+        last_confidence: r.f64_bits()?,
+        transitions: r.u64()? as usize,
+        faults_injected: r.u64()? as usize,
+        faults_detected: r.u64()? as usize,
+        faults_repaired: r.u64()? as usize,
+        fault_onset: get_opt(r, PayloadReader::f64_bits)?,
+        fault_recoveries: get_list(r, 8, PayloadReader::f64_bits)?,
+        sensor_fault_until: r.f64_bits()?,
+        confidence_fault_until: r.f64_bits()?,
+        overrun_until: r.f64_bits()?,
+        overrun_extra_s: r.f64_bits()?,
+        external_cap: get_opt(r, |r| Some(ExternalCap { level: r.u32()? as usize }))?,
+        tick: TickBudget::default(),
+    })
 }
 
 /// Decodes a commit-mark payload; `None` on any malformed content.
-pub(crate) fn decode_mark(payload: &[u8]) -> Option<MarkState> {
+pub(crate) fn decode_mark(payload: &[u8]) -> Option<Mark> {
     let mut r = PayloadReader::new(payload);
     if r.u32()? != MARK_VERSION {
         return None;
     }
-    let tick_index = r.u64()?;
-    let t = r.f64_bits()?;
-    let current_level = r.u32()? as usize;
-    let cursor = PrunerCursor {
-        scrub_cursor: r.u64()? as usize,
-        stats: IntegrityStats {
-            pops_verified: r.u64()?,
-            scrub_checks: r.u64()?,
-            repairs: r.u64()?,
-            corruption_hits: r.u64()?,
+    let r = &mut r;
+    let mark = Mark {
+        tick_index: r.u64()?,
+        t: r.f64_bits()?,
+        current_level: r.u32()?,
+        cursor: PrunerCursor {
+            scrub_cursor: r.u64()? as usize,
+            stats: IntegrityStats {
+                pops_verified: r.u64()?,
+                scrub_checks: r.u64()?,
+                repairs: r.u64()?,
+                corruption_hits: r.u64()?,
+            },
+            alloc_events: r.u64()? as usize,
         },
-        alloc_events: r.u64()? as usize,
+        manifest: get_list(r, 8, PayloadReader::u64)?,
+        log_patches: get_list(r, 12, get_triple)?,
+        weight_patches: get_list(r, 12, get_triple)?,
+        knowledge: get_knowledge(r)?,
+        frame_rng: get_rng(r)?,
+        corruption_rng: get_rng(r)?,
+        storage: (r.f64_bits()?, r.f64_bits()?, r.f64_bits()?, get_bool(r)?),
+        monitor_words: get_list(r, 8, PayloadReader::u64)?,
+        planner_words: get_list(r, 8, PayloadReader::u64)?,
+        plan_words: get_opt(r, |r| get_list(r, 8, PayloadReader::u64))?,
+        trace_next_seq: r.u64()?,
+        trace_dropped: r.u64()?,
     };
-    let manifest = get_words(&mut r)?;
-    let log_patches = get_triples(&mut r)?;
-    let weight_patches = get_triples(&mut r)?;
-    let op_state = match r.u32()? {
-        0 => OperatingState::Normal,
-        1 => OperatingState::Degraded,
-        2 => OperatingState::MinimalRisk,
-        _ => return None,
-    };
-    let sealed_checksum = r.u64()?;
-    let flags = r.u32()?;
-    let pending_present = r.u32()? != 0;
-    let pending_target = r.u32()? as usize;
-    let pending_ready = r.f64_bits()?;
-    let pending = pending_present.then_some(PendingRestore {
-        target: pending_target,
-        ready_at: pending_ready,
-    });
-    let pending_reload = get_opt_f64(&mut r)?;
-    let reload_backoff_s = r.f64_bits()?;
-    let next_reload_attempt_s = r.f64_bits()?;
-    let snapshot_flips = r.u32()?;
-    let last_confidence = r.f64_bits()?;
-    let transitions = r.u64()? as usize;
-    let faults_injected = r.u64()? as usize;
-    let faults_detected = r.u64()? as usize;
-    let faults_repaired = r.u64()? as usize;
-    let fault_onset = get_opt_f64(&mut r)?;
-    let rec_count = r.u32()? as usize;
-    if rec_count > r.remaining() / 8 {
-        return None;
-    }
-    let fault_recoveries = (0..rec_count)
-        .map(|_| r.f64_bits())
-        .collect::<Option<Vec<f64>>>()?;
-    let sensor_fault_until = r.f64_bits()?;
-    let confidence_fault_until = r.f64_bits()?;
-    let overrun_until = r.f64_bits()?;
-    let overrun_extra_s = r.f64_bits()?;
-    let restore_budget_s = get_opt_f64(&mut r)?;
-    let cap_present = r.u32()? != 0;
-    let cap_level = r.u32()? as usize;
-    let external_cap = cap_present.then_some(ExternalCap { level: cap_level });
-    let frame_rng = get_rng(&mut r)?;
-    let corruption_rng = get_rng(&mut r)?;
-    let storage = (r.f64_bits()?, r.f64_bits()?, r.f64_bits()?, r.u32()? != 0);
-    let monitor_words = get_words(&mut r)?;
-    let planner_words = get_words(&mut r)?;
-    let plan_present = r.u32()? != 0;
-    let plan_words_raw = get_words(&mut r)?;
-    let plan_words = plan_present.then_some(plan_words_raw);
-    let trace_next_seq = r.u64()?;
-    let trace_dropped = r.u64()?;
-    if !r.done() {
-        return None;
-    }
-    Some(MarkState {
-        tick_index,
-        t,
-        current_level,
-        cursor,
-        manifest,
-        log_patches,
-        weight_patches,
-        op_state,
-        sealed_checksum,
-        integrity_bad: flags & 1 != 0,
-        log_bad: flags & 2 != 0,
-        reload_wanted: flags & 4 != 0,
-        manual_sensor_failed: flags & 8 != 0,
-        manual_confidence_failed: flags & 16 != 0,
-        pending,
-        pending_reload,
-        reload_backoff_s,
-        next_reload_attempt_s,
-        snapshot_flips,
-        last_confidence,
-        transitions,
-        faults_injected,
-        faults_detected,
-        faults_repaired,
-        fault_onset,
-        fault_recoveries,
-        sensor_fault_until,
-        confidence_fault_until,
-        overrun_until,
-        overrun_extra_s,
-        restore_budget_s,
-        external_cap,
-        frame_rng,
-        corruption_rng,
-        storage,
-        monitor_words,
-        planner_words,
-        plan_words,
-        trace_next_seq,
-        trace_dropped,
-    })
-}
-
-impl MarkState {
-    /// Writes the mark's cross-stage state back into a freshly attached
-    /// knowledge base (levels, model bytes, and the per-tick budget are
-    /// rebuilt by attach and left alone).
-    pub(crate) fn apply_to_knowledge(&self, k: &mut Knowledge) {
-        k.op_state = self.op_state;
-        k.sealed_checksum = self.sealed_checksum;
-        k.integrity_bad = self.integrity_bad;
-        k.log_bad = self.log_bad;
-        k.reload_wanted = self.reload_wanted;
-        k.manual_sensor_failed = self.manual_sensor_failed;
-        k.manual_confidence_failed = self.manual_confidence_failed;
-        k.pending = self.pending;
-        k.pending_reload = self.pending_reload;
-        k.reload_backoff_s = self.reload_backoff_s;
-        k.next_reload_attempt_s = self.next_reload_attempt_s;
-        k.snapshot_flips = self.snapshot_flips;
-        k.last_confidence = self.last_confidence;
-        k.transitions = self.transitions;
-        k.faults_injected = self.faults_injected;
-        k.faults_detected = self.faults_detected;
-        k.faults_repaired = self.faults_repaired;
-        k.fault_onset = self.fault_onset;
-        k.fault_recoveries = self.fault_recoveries.clone();
-        k.sensor_fault_until = self.sensor_fault_until;
-        k.confidence_fault_until = self.confidence_fault_until;
-        k.overrun_until = self.overrun_until;
-        k.overrun_extra_s = self.overrun_extra_s;
-        k.restore_budget_s = self.restore_budget_s;
-        k.external_cap = self.external_cap;
-    }
+    r.done().then_some(mark)
 }
 
 // ---------------------------------------------------------------------
@@ -1035,7 +943,7 @@ impl MarkState {
 pub(crate) struct ScanResolution {
     pub base_payload: Option<Vec<u8>>,
     pub records_scanned: usize,
-    pub marks: Vec<MarkState>,
+    pub marks: Vec<Mark>,
     pub segments_by_hash: std::collections::HashMap<u64, Vec<u8>>,
     pub valid_len: u64,
     /// One entry per verified record, in device order; segment indices
@@ -1094,7 +1002,7 @@ pub(crate) fn resolve_scan(bytes: &[u8]) -> ScanResolution {
 impl ScanResolution {
     /// The latest mark whose manifest is fully satisfiable from the
     /// segment records on the device.
-    pub(crate) fn best_mark(&self) -> Option<&MarkState> {
+    pub(crate) fn best_mark(&self) -> Option<&Mark> {
         self.marks.iter().rev().find(|m| {
             m.manifest
                 .iter()
@@ -1111,7 +1019,7 @@ impl ScanResolution {
         bytes: &[u8],
         log: DurableLog,
         config: SpillConfig,
-        mark: Option<&MarkState>,
+        mark: Option<&Mark>,
     ) -> SpillState {
         let manifest: &[u64] = mark.map_or(&[], |m| &m.manifest);
         let dirty: std::collections::HashSet<u32> = mark
@@ -1238,9 +1146,10 @@ mod tests {
         assert!(s.service_appends(&storage, 6.0, &mut trace));
     }
 
-    #[test]
-    fn mark_round_trip_preserves_every_field() {
-        let mut k = Knowledge::new(Vec::new(), reprune_platform::Bytes(1), 77);
+    /// A mark with every option present and at least two entries in
+    /// every list, so each presence and count word is load-bearing.
+    fn full_mark() -> Mark {
+        let mut k = Knowledge::new(Vec::new(), reprune_platform::Bytes(0), 77);
         k.op_state = OperatingState::Degraded;
         k.integrity_bad = true;
         k.reload_wanted = true;
@@ -1254,8 +1163,7 @@ mod tests {
         k.fault_onset = Some(1.5);
         k.fault_recoveries = vec![0.5, 1.25];
         k.external_cap = Some(ExternalCap { level: 1 });
-        k.restore_budget_s = Some(0.004);
-        let inputs = MarkInputs {
+        Mark {
             tick_index: 42,
             t: 4.2,
             current_level: 2,
@@ -1270,99 +1178,168 @@ mod tests {
                 alloc_events: 9,
             },
             manifest: vec![111, 222],
-            log_patches: vec![(0, 3, 0xDEAD)],
+            log_patches: vec![(0, 3, 0xDEAD), (1, 4, 0xF00D)],
             weight_patches: vec![(1, 2, 0xBEEF), (0, 0, 1)],
-            k: &k,
+            knowledge: k,
             frame_rng: ([1, 2, 3, 4], Some(0.5)),
             corruption_rng: ([5, 6, 7, 8], None),
             storage: (1.0, 2.0, 0.5, false),
             monitor_words: vec![10, 20],
-            planner_words: vec![30],
+            planner_words: vec![30, 31],
             plan_words: Some(vec![40, 50, 60]),
             trace_next_seq: 1000,
             trace_dropped: 3,
+        }
+    }
+
+    fn with_word(payload: &[u8], offset: usize, word: u32) -> Vec<u8> {
+        let mut out = payload.to_vec();
+        out[offset..offset + 4].copy_from_slice(&word.to_le_bytes());
+        out
+    }
+
+    fn word_at(payload: &[u8], offset: usize) -> u32 {
+        u32::from_le_bytes(payload[offset..offset + 4].try_into().unwrap())
+    }
+
+    #[test]
+    fn mark_round_trip_preserves_every_field() {
+        let m = full_mark();
+        assert_eq!(decode_mark(&encode_mark(&m)), Some(m));
+        let sparse = Mark {
+            manifest: Vec::new(),
+            plan_words: None,
+            ..full_mark()
         };
-        let payload = encode_mark(&inputs);
-        let m = decode_mark(&payload).expect("round trip");
-        assert_eq!(m.tick_index, 42);
-        assert_eq!(m.t, 4.2);
-        assert_eq!(m.current_level, 2);
-        assert_eq!(m.cursor, inputs.cursor);
-        assert_eq!(m.manifest, vec![111, 222]);
-        assert_eq!(m.log_patches, vec![(0, 3, 0xDEAD)]);
-        assert_eq!(m.weight_patches.len(), 2);
-        assert_eq!(m.op_state, OperatingState::Degraded);
-        assert_eq!(m.sealed_checksum, 77);
-        assert!(m.integrity_bad && m.reload_wanted && !m.log_bad);
-        assert_eq!(
-            m.pending,
-            Some(PendingRestore {
-                target: 2,
-                ready_at: 3.5
-            })
-        );
-        assert_eq!(m.pending_reload, Some(9.25));
-        assert_eq!(m.snapshot_flips, 4);
-        assert_eq!(m.transitions, 11);
-        assert_eq!(m.fault_onset, Some(1.5));
-        assert_eq!(m.fault_recoveries, vec![0.5, 1.25]);
-        assert_eq!(m.external_cap, Some(ExternalCap { level: 1 }));
-        assert_eq!(m.restore_budget_s, Some(0.004));
-        assert_eq!(m.frame_rng, ([1, 2, 3, 4], Some(0.5)));
-        assert_eq!(m.corruption_rng, ([5, 6, 7, 8], None));
-        assert_eq!(m.storage, (1.0, 2.0, 0.5, false));
-        assert_eq!(m.monitor_words, vec![10, 20]);
-        assert_eq!(m.planner_words, vec![30]);
-        assert_eq!(m.plan_words, Some(vec![40, 50, 60]));
-        assert_eq!(m.trace_next_seq, 1000);
-        assert_eq!(m.trace_dropped, 3);
-        // Applying onto a fresh knowledge reproduces the fields.
-        let mut k2 = Knowledge::new(Vec::new(), reprune_platform::Bytes(1), 0);
-        m.apply_to_knowledge(&mut k2);
-        assert_eq!(k2.sealed_checksum, 77);
-        assert_eq!(k2.pending, k.pending);
-        assert_eq!(k2.fault_recoveries, k.fault_recoveries);
-        // A truncated payload never decodes.
-        assert!(decode_mark(&payload[..payload.len() - 4]).is_none());
-        // Neither does a foreign version.
-        let mut bad = payload.clone();
-        bad[0] = 99;
-        assert!(decode_mark(&bad).is_none());
+        assert_eq!(decode_mark(&encode_mark(&sparse)), Some(sparse));
+    }
+
+    #[test]
+    fn hostile_marks_are_rejected_without_panicking() {
+        let payload = encode_mark(&full_mark());
+        for len in 0..payload.len() {
+            assert!(decode_mark(&payload[..len]).is_none(), "truncated to {len}");
+        }
+        let mut longer = payload.clone();
+        longer.push(0);
+        assert!(decode_mark(&longer).is_none(), "trailing byte");
+        // Byte offsets of the count words in `full_mark`'s payload; the
+        // first assert pins the layout so a format change fails here.
+        let counts = [
+            ("manifest", 72, 2),
+            ("log patches", 92, 2),
+            ("weight patches", 120, 2),
+            ("fault recoveries", 264, 2),
+            ("monitor words", 432, 2),
+            ("planner words", 452, 2),
+            ("plan words", 476, 3),
+        ];
+        for (name, offset, count) in counts {
+            assert_eq!(word_at(&payload, offset), count, "{name} count word at {offset}");
+            for bad in [0, 1, u32::MAX] {
+                assert!(
+                    decode_mark(&with_word(&payload, offset, bad)).is_none(),
+                    "{name} count {bad}"
+                );
+            }
+        }
+        // Presence and boolean words hold 0 or 1.
+        let bools = [
+            ("pending restore", 164, 1),
+            ("pending reload", 180, 1),
+            ("fault onset", 252, 1),
+            ("external cap", 316, 1),
+            ("frame rng spare", 356, 1),
+            ("corruption rng spare", 396, 0),
+            ("storage failed", 428, 0),
+            ("plan words", 472, 1),
+        ];
+        for (name, offset, value) in bools {
+            assert_eq!(word_at(&payload, offset), value, "{name} word at {offset}");
+            for bad in [2, u32::MAX] {
+                assert!(
+                    decode_mark(&with_word(&payload, offset, bad)).is_none(),
+                    "{name} word {bad}"
+                );
+            }
+        }
+        for version in [0, 1, 3, u32::MAX] {
+            assert!(decode_mark(&with_word(&payload, 0, version)).is_none(), "version {version}");
+        }
+        let (flags_at, op_state_at) = (148, 152);
+        assert_eq!(word_at(&payload, flags_at), 0b101, "integrity_bad | reload_wanted");
+        assert_eq!(word_at(&payload, op_state_at), 1, "Degraded");
+        assert!(decode_mark(&with_word(&payload, op_state_at, 3)).is_none(), "op_state 3");
+        for bit in 3..32 {
+            let flags = 0b101 | 1 << bit;
+            assert!(
+                decode_mark(&with_word(&payload, flags_at, flags)).is_none(),
+                "flag bit {bit}"
+            );
+        }
+    }
+
+    /// A device holding a base record, two segments and three marks, the
+    /// last of which names a segment the device lacks.
+    fn multi_record_device() -> Vec<u8> {
+        let seg_a = vec![1u8, 2, 3, 4, 5, 6, 7, 8];
+        let seg_b = vec![9u8; 24];
+        let (ha, hb) = (codec::payload_hash(&seg_a), codec::payload_hash(&seg_b));
+        let mark = |manifest: Vec<u64>, tick_index: u64| {
+            let m = Mark {
+                tick_index,
+                manifest,
+                ..full_mark()
+            };
+            codec::frame_record(RecordKind::Mark, &encode_mark(&m))
+        };
+        let mut bytes = codec::frame_record(RecordKind::Base, &[0, 0, 0, 0]);
+        bytes.extend(codec::frame_record(RecordKind::Segment, &seg_a));
+        bytes.extend(mark(vec![ha], 1));
+        bytes.extend(codec::frame_record(RecordKind::Segment, &seg_b));
+        bytes.extend(mark(vec![ha, hb], 2));
+        bytes.extend(mark(vec![ha, hb, 999], 3));
+        bytes
+    }
+
+    fn assert_best_mark_is_satisfied(bytes: &[u8]) {
+        let res = resolve_scan(bytes);
+        assert!(res.valid_len <= bytes.len() as u64);
+        if let Some(m) = res.best_mark() {
+            assert!(m
+                .manifest
+                .iter()
+                .all(|h| res.segments_by_hash.contains_key(h)));
+        }
     }
 
     #[test]
     fn best_mark_skips_unsatisfiable_manifests() {
-        let k = Knowledge::new(Vec::new(), reprune_platform::Bytes(1), 0);
-        let seg_payload = vec![1u8, 2, 3, 4, 5, 6, 7, 8];
-        let hash = codec::payload_hash(&seg_payload);
-        let mark = |manifest: Vec<u64>, tick: u64| {
-            encode_mark(&MarkInputs {
-                tick_index: tick,
-                t: 0.0,
-                current_level: 0,
-                cursor: PrunerCursor::default(),
-                manifest,
-                log_patches: Vec::new(),
-                weight_patches: Vec::new(),
-                k: &k,
-                frame_rng: ([0; 4], None),
-                corruption_rng: ([0; 4], None),
-                storage: (0.0, 0.0, 1.0, false),
-                monitor_words: Vec::new(),
-                planner_words: Vec::new(),
-                plan_words: None,
-                trace_next_seq: 0,
-                trace_dropped: 0,
-            })
-        };
-        let mut bytes = codec::frame_record(RecordKind::Base, &[0, 0, 0, 0]);
-        bytes.extend(codec::frame_record(RecordKind::Segment, &seg_payload));
-        bytes.extend(codec::frame_record(RecordKind::Mark, &mark(vec![hash], 1)));
-        // Latest mark names a segment that never made it to the device.
-        bytes.extend(codec::frame_record(RecordKind::Mark, &mark(vec![hash, 999], 2)));
-        let res = resolve_scan(&bytes);
-        assert_eq!(res.marks.len(), 2);
+        let res = resolve_scan(&multi_record_device());
+        assert_eq!(res.marks.len(), 3);
         let best = res.best_mark().expect("satisfiable mark exists");
-        assert_eq!(best.tick_index, 1, "unsatisfiable latest mark is skipped");
+        assert_eq!(best.tick_index, 2, "unsatisfiable latest mark is skipped");
+    }
+
+    #[test]
+    fn hostile_devices_never_panic_the_scan() {
+        let device = multi_record_device();
+        for i in 0..device.len() {
+            let mut flipped = device.clone();
+            flipped[i] ^= 0xFF;
+            assert_best_mark_is_satisfied(&flipped);
+        }
+        let mut rng = reprune_tensor::rng::Prng::new(0x5ca1);
+        for _ in 0..200 {
+            let len = rng.next_below(device.len() + 64);
+            let noise: Vec<u8> = (0..len).map(|_| rng.next_below(256) as u8).collect();
+            assert_best_mark_is_satisfied(&noise);
+            // The valid device with a random stretch overwritten.
+            let mut spliced = device.clone();
+            let at = rng.next_below(device.len());
+            let end = (at + noise.len()).min(spliced.len());
+            spliced[at..end].copy_from_slice(&noise[..end - at]);
+            assert_best_mark_is_satisfied(&spliced);
+        }
     }
 }

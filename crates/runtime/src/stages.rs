@@ -47,7 +47,7 @@ pub struct Directive {
 /// Monitor stage: sensor/confidence channel health and the fused risk
 /// estimate.
 pub trait Monitor: Send {
-    /// Propagates fault-window and manual channel failures into the
+    /// Propagates scheduled fault-window channel failures into the
     /// estimator and pins the system at least at Degraded while any
     /// self-announcing window is active (armed defenses only).
     fn observe_health(
@@ -198,11 +198,9 @@ impl Monitor for DefaultMonitor {
         tick: &Tick,
         trace: &mut TickTrace,
     ) {
-        // Monitor channels follow manual overrides OR scheduled windows.
-        self.estimator
-            .set_sensor_failed(k.manual_sensor_failed || tick.t < k.sensor_fault_until);
-        self.estimator
-            .set_confidence_failed(k.manual_confidence_failed || tick.t < k.confidence_fault_until);
+        // Monitor channels follow the scheduled fault windows.
+        self.estimator.set_sensor_failed(tick.t < k.sensor_fault_until);
+        self.estimator.set_confidence_failed(tick.t < k.confidence_fault_until);
         // An armed health monitor pins the system at least at Degraded
         // while any fault window is active.
         if self.armed && k.windows_active(tick.t, &plant.storage) {
@@ -347,60 +345,6 @@ impl Plan for DefaultPlanner {
 /// Default Execute: the restore fallback chain actuator.
 pub struct ChainExecutor;
 
-impl ChainExecutor {
-    /// Climbs toward `target` one ladder level at a time, stopping when
-    /// the next slice would push the time spent this tick past
-    /// `budget`. The first slice always runs — a single oversized delta
-    /// must not stall the climb forever — and a slice that fails to
-    /// lower the level (the fallback chain parked the climb on a
-    /// detected corruption) ends the loop for this tick. Each completed
-    /// slice is charged exactly like a synchronous restore of that
-    /// slice and leaves a `restore-slice` trace event, so the trace
-    /// stays balanced against the counters.
-    fn apply_amortized(
-        k: &mut Knowledge,
-        plant: &mut Plant,
-        chain: &RestoreChain,
-        target: usize,
-        budget: f64,
-        tick: &Tick,
-        trace: &mut TickTrace,
-    ) -> Result<()> {
-        let mut spent = 0.0f64;
-        loop {
-            let level = plant.pruner.current_level();
-            if level <= target {
-                break;
-            }
-            let entries = plant.pruner.hop_entries(level - 1, level).walk();
-            let latency = chain.restore_latency(entries);
-            if spent > 0.0 && spent + latency.0 > budget {
-                break;
-            }
-            k.absorb_deferred(ChainReport {
-                latency,
-                energy: chain.restore_energy(entries),
-                detected: false,
-                repaired: false,
-            });
-            k.tick.sync_latency_s += latency.0;
-            spent += latency.0;
-            let rep = chain.set_level_chain(k, plant, level - 1, tick.t, trace)?;
-            k.absorb(rep);
-            let now = plant.pruner.current_level();
-            if now >= level {
-                break;
-            }
-            trace.record(
-                tick.t,
-                StageId::Execute,
-                TraceEventKind::RestoreSlice { level: now, target },
-            );
-        }
-        Ok(())
-    }
-}
-
 impl Execute for ChainExecutor {
     fn service_reload(
         &mut self,
@@ -497,11 +441,6 @@ impl Execute for ChainExecutor {
                     detected: false,
                     repaired: false,
                 });
-            } else if let Some(budget) = k.restore_budget_s.filter(|_| chain.supports_amortized())
-            {
-                // Amortized restore: whole one-level slices inside the
-                // per-tick budget, continuing next tick if needed.
-                Self::apply_amortized(k, plant, chain, target, budget, tick, trace)?;
             } else {
                 // Restoring capacity: charge the configured mechanism.
                 let entries = plant

@@ -174,14 +174,6 @@ pub enum TraceEventKind {
         /// Level in effect after completion.
         level: usize,
     },
-    /// One per-tick slice of an amortized (budgeted) restore climb
-    /// finished; the climb reaches `target` over one or more ticks.
-    RestoreSlice {
-        /// Level in effect after this slice.
-        level: usize,
-        /// Level the climb is heading for.
-        target: usize,
-    },
     /// A storage reload was accepted by the device and scheduled.
     ReloadScheduled {
         /// Tick time at which the image arrives.
@@ -242,7 +234,6 @@ impl TraceEventKind {
             TraceEventKind::RestoreScheduled { .. } => "restore-scheduled",
             TraceEventKind::RestoreRetargeted { .. } => "restore-retargeted",
             TraceEventKind::RestoreCompleted { .. } => "restore-completed",
-            TraceEventKind::RestoreSlice { .. } => "restore-slice",
             TraceEventKind::ReloadScheduled { .. } => "reload-scheduled",
             TraceEventKind::ReloadDeferred { .. } => "reload-deferred",
             TraceEventKind::ReloadImpossible => "reload-impossible",
@@ -324,9 +315,6 @@ impl TraceEvent {
             }
             TraceEventKind::RestoreCompleted { level } => {
                 s.push_str(&format!(",\"level\":{level}"));
-            }
-            TraceEventKind::RestoreSlice { level, target } => {
-                s.push_str(&format!(",\"level\":{level},\"target\":{target}"));
             }
             TraceEventKind::ReloadScheduled { ready_at } => {
                 s.push_str(&format!(",\"ready_at\":{}", json_f64(*ready_at)));
@@ -523,7 +511,6 @@ mod tests {
             },
             TraceEventKind::RestoreRetargeted { target: 0 },
             TraceEventKind::RestoreCompleted { level: 0 },
-            TraceEventKind::RestoreSlice { level: 2, target: 0 },
             TraceEventKind::ReloadScheduled { ready_at: 9.5 },
             TraceEventKind::ReloadDeferred {
                 next_attempt_s: 10.0,

@@ -13,8 +13,8 @@ use reprune_runtime::envelope::SafetyEnvelope;
 use reprune_runtime::manager::{RuntimeManager, RuntimeManagerConfig};
 use reprune_runtime::policy::Policy;
 use reprune_runtime::{
-    plan_budget_prevalidated, BudgetPlan, Directive, Execute, FleetRuntime, FleetTickRecord,
-    Knowledge, Plant, RestoreChain, TickTrace,
+    plan_budget_prevalidated, Directive, Execute, FleetRuntime, FleetTickRecord, Knowledge, Plant,
+    RestoreChain, TickTrace,
 };
 use reprune_scenario::{Scenario, ScenarioConfig, Tick};
 
@@ -85,24 +85,20 @@ fn pooled_and_serial_stepping_agree_exactly() {
 /// Steps `f` through `sc` with per-member risks spread around the
 /// scenario's shared risk (so members sit in different bands) and a
 /// budget shrinking from `dense` to 40% of it, checking every tick's
-/// arbitration against the from-scratch oracle on the fleet's current
-/// profiles. `before_tick` runs ahead of each step and may mutate the
-/// fleet; `on_plan` sees each tick's risks, budget and plan. At tick
-/// `nan_at`, a step with one NaN risk must be rejected first.
+/// arbitration against the from-scratch oracle on the fleet's
+/// profiles. At tick `nan_at`, a step with one NaN risk must be
+/// rejected first.
 fn step_against_oracle(
     f: &mut FleetRuntime,
     sc: &Scenario,
     dense: f64,
     nan_at: Option<usize>,
-    mut before_tick: impl FnMut(&mut FleetRuntime, usize),
-    mut on_plan: impl FnMut(usize, &[f64], Option<Joules>, &BudgetPlan),
 ) -> Vec<FleetTickRecord> {
     let dt = sc.config().dt_s;
     let n = f.len();
     let n_ticks = sc.ticks().len();
     let mut ticks = Vec::new();
     for (k, tick) in sc.ticks().iter().enumerate() {
-        before_tick(f, k);
         let risks: Vec<f64> = (0..n).map(|i| tick.risk * (0.5 + 0.5 * i as f64)).collect();
         let budget = Some(Joules(dense * (1.0 - 0.6 * k as f64 / n_ticks as f64)));
         if nan_at == Some(k) {
@@ -116,7 +112,6 @@ fn step_against_oracle(
         let rec = f.step_with_risks(tick, dt, &risks, budget).unwrap();
         let oracle = plan_budget_prevalidated(f.profiles(), &risks, budget).unwrap();
         assert_eq!(rec.plan, oracle, "tick {k}: the planner matches the oracle");
-        on_plan(k, &risks, budget, &rec.plan);
         ticks.push(rec);
     }
     ticks
@@ -139,7 +134,7 @@ fn incremental_planner_run_is_byte_identical_to_scratch() {
         let mut f = fleet(&net, Policy::Oracle, 4);
         f.set_workers(workers);
         let dense = dense_draw(&f);
-        let ticks = step_against_oracle(&mut f, &sc, dense, Some(5), |_, _| {}, |_, _, _, _| {});
+        let ticks = step_against_oracle(&mut f, &sc, dense, Some(5));
         assert_eq!(
             f.planner_stats().plans,
             sc.ticks().len() as u64,
@@ -149,63 +144,6 @@ fn incremental_planner_run_is_byte_identical_to_scratch() {
             f.last_plan_seconds() >= 0.0,
             "{workers} workers: plan timing is recorded"
         );
-        runs.push(ticks);
-    }
-    assert_eq!(runs[0], runs[1], "worker count must not change any record");
-}
-
-/// A mid-run energy reprofile of member 1 reaches the planner in both
-/// stepping modes, serial (one worker, nothing spawned) and scoped
-/// threads (four workers): every later plan matches the oracle on the
-/// updated profiles, and some differ from the oracle on the old ones.
-#[test]
-fn reprofiled_member_dirties_the_planner_in_both_modes() {
-    let net = models::default_perception_cnn(29).expect("model");
-    let sc = scenario(13);
-    let mut runs = Vec::new();
-    for workers in [1usize, 4] {
-        let mut f = fleet(&net, Policy::NoPruning, 3);
-        f.set_workers(workers);
-        let original = f.profiles().to_vec();
-        let dense = dense_draw(&f);
-        let mut reprofile_visible = false;
-        let reprofile = |f: &mut FleetRuntime, k: usize| {
-            if k == 3 {
-                // Mid-run recalibration: member 1's level-1 energy drops
-                // halfway toward its level-2 cost (staying strictly
-                // monotone), via the Knowledge plan-epoch mutation edge.
-                let lk = f.manager(1).knowledge();
-                let mid = Joules((lk[1].inference.energy.0 + lk[2].inference.energy.0) / 2.0);
-                f.manager_mut(1).reprofile_level_energy(1, mid).unwrap();
-            }
-        };
-        let ticks = step_against_oracle(
-            &mut f,
-            &sc,
-            dense,
-            None,
-            reprofile,
-            |k, risks, budget, plan| {
-                if k >= 3 {
-                    reprofile_visible |=
-                        plan_budget_prevalidated(&original, risks, budget).unwrap() != *plan;
-                }
-            },
-        );
-        assert!(
-            reprofile_visible,
-            "{workers} workers: the cheaper level-1 profile must move the arbitration on some tick"
-        );
-        assert_eq!(
-            f.profiles()[1].energy_per_level[1],
-            f.manager(1).knowledge()[1].inference.energy,
-            "the fleet profile tracks the reprofiled knowledge"
-        );
-        // An out-of-range reprofile is rejected at the mutation edge.
-        assert!(f
-            .manager_mut(0)
-            .reprofile_level_energy(99, Joules(1.0))
-            .is_err());
         runs.push(ticks);
     }
     assert_eq!(runs[0], runs[1], "worker count must not change any record");

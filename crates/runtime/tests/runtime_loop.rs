@@ -8,8 +8,8 @@ use reprune_nn::{models, Network};
 use reprune_prune::{LadderConfig, PruneCriterion, SparsityLadder};
 use reprune_runtime::policy::AdaptiveConfig;
 use reprune_runtime::{
-    storm_events, FaultDefense, OperatingState, Policy, RestoreMechanism, RuntimeManager,
-    RuntimeManagerConfig, SafetyEnvelope, StormConfig,
+    storm_events, FaultDefense, FaultPlan, OperatingState, Policy, RestoreMechanism,
+    RuntimeManager, RuntimeManagerConfig, SafetyEnvelope, StormConfig,
 };
 use reprune_scenario::{FaultEvent, FaultKind, Scenario, ScenarioConfig, SegmentKind, Weather};
 
@@ -388,30 +388,41 @@ fn odd_exit_forces_full_capacity() {
 
 #[test]
 fn sensor_blackout_restores_capacity() {
-    let mut m = manager(
+    // Unarmed, so no Degraded cap can force the restore: the
+    // estimator's fail-safe reading during the window must.
+    let mut m = fault_manager(
         Policy::adaptive(AdaptiveConfig {
             hysteresis: 0.05,
             dwell_ticks: 5,
         }),
-        RestoreMechanism::DeltaLog,
+        FaultDefense::None,
     );
     let calm = calm_scenario(11);
     let dt = calm.config().dt_s;
+    let ticks = calm.ticks();
+    // A scheduled blackout over ticks 150..180.
+    m.set_fault_plan(Some(FaultPlan::new(
+        vec![FaultEvent {
+            start_s: ticks[150].t,
+            kind: FaultKind::SensorBlackout {
+                duration_s: 30.0 * dt,
+            },
+        }],
+        11,
+    )));
     // Let it prune on the calm highway.
-    for tick in calm.ticks().iter().take(150) {
+    for tick in &ticks[..150] {
         m.step(tick, dt).unwrap();
     }
     assert!(m.current_level() > 0, "should have pruned when calm");
-    // Sensor blackout: the fail-safe estimate must drive a restore
-    // within a few ticks even though the true risk stays low.
-    m.set_sensor_failed(true);
-    for tick in calm.ticks().iter().skip(150).take(30) {
+    // The fail-safe estimate must drive a restore within the window
+    // even though the true risk stays low.
+    for tick in &ticks[150..180] {
         m.step(tick, dt).unwrap();
     }
     assert_eq!(m.current_level(), 0, "blackout must restore full capacity");
     // Recovery: pruning resumes after the sensor returns.
-    m.set_sensor_failed(false);
-    for tick in calm.ticks().iter().skip(180).take(120) {
+    for tick in &ticks[180..300] {
         m.step(tick, dt).unwrap();
     }
     assert!(m.current_level() > 0, "pruning should resume after recovery");
@@ -797,111 +808,6 @@ fn mechanism_display() {
     assert_eq!(RestoreMechanism::DeltaLog.to_string(), "delta-log");
     assert_eq!(RestoreMechanism::Snapshot.to_string(), "snapshot");
     assert_eq!(RestoreMechanism::StorageReload.to_string(), "storage-reload");
-}
-
-#[test]
-fn amortized_restore_slices_one_level_per_tick() {
-    // A vanishingly small budget forces exactly one slice per tick (the
-    // progress guarantee), so a 3-level climb takes 3 ticks and leaves
-    // one restore-slice trace event per level descended.
-    let (net, ladder) = ladder_net();
-    let mut m = RuntimeManager::attach(
-        net,
-        ladder,
-        RuntimeManagerConfig::new(Policy::Oracle, env()).restore_budget(1e-12),
-    )
-    .unwrap();
-    let mk = |t: f64, risk: f64| reprune_scenario::Tick {
-        t,
-        segment: SegmentKind::Highway,
-        weather: Weather::Clear,
-        risk,
-        active_events: 0,
-    };
-    let dt = 0.1;
-    for i in 0..3 {
-        m.step(&mk(i as f64 * dt, 0.05), dt).unwrap();
-    }
-    assert_eq!(m.current_level(), 3);
-    // Critical risk demands level 0; the climb is sliced across ticks.
-    m.step(&mk(0.3, 0.9), dt).unwrap();
-    assert_eq!(m.current_level(), 2, "first tick restores one level");
-    m.step(&mk(0.4, 0.9), dt).unwrap();
-    assert_eq!(m.current_level(), 1, "second tick restores one level");
-    m.step(&mk(0.5, 0.9), dt).unwrap();
-    assert_eq!(m.current_level(), 0, "third tick completes the climb");
-    let slices: Vec<(usize, usize)> = m
-        .trace()
-        .events()
-        .filter_map(|e| match e.kind {
-            reprune_runtime::TraceEventKind::RestoreSlice { level, target } => {
-                Some((level, target))
-            }
-            _ => None,
-        })
-        .collect();
-    assert_eq!(slices, vec![(2, 0), (1, 0), (0, 0)]);
-}
-
-#[test]
-fn amortized_restore_with_ample_budget_matches_one_shot() {
-    // A budget comfortably above the full climb cost completes in one
-    // tick, just like the unbudgeted path.
-    let (net, ladder) = ladder_net();
-    let mut m = RuntimeManager::attach(
-        net,
-        ladder,
-        RuntimeManagerConfig::new(Policy::Oracle, env()).restore_budget(10.0),
-    )
-    .unwrap();
-    let mk = |t: f64, risk: f64| reprune_scenario::Tick {
-        t,
-        segment: SegmentKind::Highway,
-        weather: Weather::Clear,
-        risk,
-        active_events: 0,
-    };
-    let dt = 0.1;
-    for i in 0..3 {
-        m.step(&mk(i as f64 * dt, 0.05), dt).unwrap();
-    }
-    assert_eq!(m.current_level(), 3);
-    m.step(&mk(0.3, 0.9), dt).unwrap();
-    assert_eq!(m.current_level(), 0, "whole climb fits the budget");
-}
-
-#[test]
-fn amortized_storm_campaign_keeps_trace_balanced() {
-    // The tab8 self-check invariant must hold with amortized slices
-    // enabled: every counted detection has exactly one trace event and
-    // the ring never drops, and the full chain still ends the storm
-    // with zero silent corruption.
-    let s = busy_scenario(21).with_faults(storm_events(
-        &StormConfig::severe(10.0, 60.0),
-        21,
-    ));
-    let (net, ladder) = ladder_net();
-    let mut m = RuntimeManager::attach(
-        net,
-        ladder,
-        RuntimeManagerConfig::new(Policy::Oracle, env())
-            .defense(FaultDefense::FullChain)
-            .restore_budget(1e-4),
-    )
-    .unwrap();
-    let r = m.run(&s).unwrap();
-    assert!(r.faults_injected > 0, "storm must land faults");
-    assert_eq!(
-        r.trace_event_count("fault-detected"),
-        r.faults_detected,
-        "one trace event per counted detection"
-    );
-    assert_eq!(r.trace_dropped, 0);
-    assert_eq!(r.silent_corruption_ticks(), 0);
-    assert!(
-        r.trace_event_count("restore-slice") > 0,
-        "the storm must exercise the sliced climb"
-    );
 }
 
 /// Leaving an int8 rung pops its precision segment first, even when the

@@ -3,11 +3,9 @@
 //! First, wall-clock percentiles for raw prune-and-restore round trips
 //! on the reference perception CNN — the paper's "back to the future"
 //! primitive — expressed as a multiple of one full-density inference
-//! tick. Then a severe fault storm driven twice through the runtime:
-//! once with one-shot restores, once with an amortized per-tick restore
-//! budget that spreads multi-level climbs across ticks (visible as
-//! `restore-slice` trace events), showing the same safety outcome with
-//! the climb cost smeared instead of spiked.
+//! tick. Then a severe fault storm driven through the runtime, whose
+//! one-shot restores snap the network back to full capacity without
+//! ever serving silently corrupted weights.
 //!
 //! Run with:
 //! ```sh
@@ -93,21 +91,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "warm segment pools never re-allocate across round trips"
     );
 
-    // --- 2. The same storm, one-shot vs amortized restores. ---
-    let build = |budget: Option<f64>| -> Result<RuntimeManager, Box<dyn std::error::Error>> {
-        let net = models::default_perception_cnn(9)?;
-        let ladder = LadderConfig::new(vec![0.0, 0.3, 0.6, 0.9])
-            .criterion(PruneCriterion::ChannelL2)
-            .build(&net)?;
-        let envelope = SafetyEnvelope::new(vec![0.6, 0.4, 0.2])?;
-        let mut cfg = RuntimeManagerConfig::new(Policy::adaptive(AdaptiveConfig::default()), envelope)
-            .defense(FaultDefense::FullChain)
-            .frame_seed(23);
-        if let Some(b) = budget {
-            cfg = cfg.restore_budget(b);
-        }
-        Ok(RuntimeManager::attach(net, ladder, cfg)?)
-    };
+    // --- 2. A severe storm through the runtime's one-shot restores. ---
+    let net = models::default_perception_cnn(9)?;
+    let ladder = LadderConfig::new(vec![0.0, 0.3, 0.6, 0.9])
+        .criterion(PruneCriterion::ChannelL2)
+        .build(&net)?;
+    let envelope = SafetyEnvelope::new(vec![0.6, 0.4, 0.2])?;
+    let cfg = RuntimeManagerConfig::new(Policy::adaptive(AdaptiveConfig::default()), envelope)
+        .defense(FaultDefense::FullChain)
+        .frame_seed(23);
+    let mut mgr = RuntimeManager::attach(net, ladder, cfg)?;
     let scenario = ScenarioConfig::new()
         .duration_s(180.0)
         .seed(23)
@@ -115,44 +108,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .event_rate_scale(0.4)
         .generate()
         .with_faults(storm_events(&StormConfig::severe(40.0, 140.0), 23));
-
-    println!("\nsevere storm (100 s of faults on a 180 s urban drive), two restore modes:");
-    for (label, budget) in [("one-shot", None), ("amortized 200 us/tick", Some(200e-6))] {
-        let mut mgr = build(budget)?;
-        let r = mgr.run(&scenario)?;
-        println!("  {label}:");
-        println!(
-            "    detected / repaired      {} / {} (of {} injected)",
-            r.faults_detected, r.faults_repaired, r.faults_injected
-        );
-        println!(
-            "    restore slices           {}",
-            r.trace_event_count("restore-slice")
-        );
-        println!(
-            "    degraded / min-risk      {} / {} ticks",
-            r.degraded_ticks(),
-            r.minimal_risk_ticks()
-        );
-        println!("    deadline misses          {}", r.deadline_miss_ticks());
-        println!(
-            "    silent corruption        {}",
-            r.silent_corruption_ticks()
-        );
-        println!("    safety violations        {}", r.violations);
-        println!(
-            "    energy saved             {:.1}%",
-            100.0 * r.energy_saved_fraction()
-        );
-        assert_eq!(
-            r.trace_event_count("fault-detected"),
-            r.faults_detected,
-            "trace self-check balances in both modes"
-        );
-        assert_eq!(r.silent_corruption_ticks(), 0);
-    }
-    println!("\nthe amortized mode trades a single long restore stall for bounded");
-    println!("per-tick slices — same detections, same zero-silent-corruption");
-    println!("guarantee, with the climb cost visible as restore-slice events.");
+    let r = mgr.run(&scenario)?;
+    println!("\nsevere storm (100 s of faults on a 180 s urban drive), one-shot restores:");
+    println!(
+        "  detected / repaired      {} / {} (of {} injected)",
+        r.faults_detected, r.faults_repaired, r.faults_injected
+    );
+    println!(
+        "  degraded / min-risk      {} / {} ticks",
+        r.degraded_ticks(),
+        r.minimal_risk_ticks()
+    );
+    println!("  deadline misses          {}", r.deadline_miss_ticks());
+    println!("  silent corruption        {}", r.silent_corruption_ticks());
+    println!("  safety violations        {}", r.violations);
+    println!(
+        "  energy saved             {:.1}%",
+        100.0 * r.energy_saved_fraction()
+    );
+    assert_eq!(
+        r.trace_event_count("fault-detected"),
+        r.faults_detected,
+        "trace self-check balances"
+    );
+    assert_eq!(r.silent_corruption_ticks(), 0);
     Ok(())
 }
